@@ -26,6 +26,7 @@ recovered message must re-encode to within rank t of the ciphertext.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import time
 from dataclasses import dataclass, field
@@ -151,13 +152,6 @@ def stabilizer(C: Code) -> StabilizerAlgebra:
 # -- idempotent extraction --------------------------------------------------
 
 
-def _directions(q: int, U: MatFq, V: MatFq):
-    """The q+1 projective directions of the pencil spanned by U and V."""
-    yield V
-    for x in range(q):
-        yield U + V.scale(x)
-
-
 def _idempotent_from(R: MatFq) -> MatFq | None:
     """nu R when R^2 = c R for some c in F_q*, else None."""
     q = R.q
@@ -185,6 +179,16 @@ def _idempotent_from(R: MatFq) -> MatFq | None:
 _PAIR_SEARCH_CAP = 128
 
 
+def _pencil(alg: StabilizerAlgebra):
+    """For each pair U, V of the first _PAIR_SEARCH_CAP basis elements, the
+    q+1 projective directions V, U + xV of the pencil they span."""
+    q = alg.basis[0].q
+    for U, V in itertools.combinations(alg.basis[:_PAIR_SEARCH_CAP], 2):
+        yield V
+        for x in range(q):
+            yield U + V.scale(x)
+
+
 def find_rank_n_idempotent(alg: StabilizerAlgebra, n: int) -> MatFq:
     """The projection of rank n inside a split stabilizer.
 
@@ -197,20 +201,19 @@ def find_rank_n_idempotent(alg: StabilizerAlgebra, n: int) -> MatFq:
     N = alg.n_total
     q = alg.basis[0].q
     saw_singular = saw_idem = False
-    for U, V in itertools.combinations(alg.basis[:_PAIR_SEARCH_CAP], 2):
-        for R in _directions(q, U, V):
-            if la.rank(R) == N:
-                continue
-            saw_singular = True
-            F = _idempotent_from(R)
-            if F is None:
-                continue
-            saw_idem = True
-            r = la.rank(F)
-            if r == n:
-                return F
-            if r == N - n:
-                return MatFq.identity(q, N) - F
+    for R in _pencil(alg):
+        if la.rank(R) == N:
+            continue
+        saw_singular = True
+        F = _idempotent_from(R)
+        if F is None:
+            continue
+        saw_idem = True
+        r = la.rank(F)
+        if r == n:
+            return F
+        if r == N - n:
+            return MatFq.identity(q, N) - F
     if alg.dim > 2:
         raise AttackError(
             "general_decomposition_required: stabilizer dimension "
@@ -231,16 +234,38 @@ def split_probe(C: Code) -> tuple[str, int]:
     N = alg.n_total
     if alg.dim <= 1:
         return "not_split", alg.dim
-    q = alg.basis[0].q
-    for U, V in itertools.combinations(alg.basis[:_PAIR_SEARCH_CAP], 2):
-        for R in _directions(q, U, V):
-            F = _idempotent_from(R)
-            if F is not None and 0 < la.rank(F) < N:
-                return "split", alg.dim
+    for R in _pencil(alg):
+        F = _idempotent_from(R)
+        if F is not None and 0 < la.rank(F) < N:
+            return "split", alg.dim
     return "not_split", alg.dim
 
 
 # -- end-to-end attacks ------------------------------------------------------
+
+
+@contextlib.contextmanager
+def _phase(tm: dict, name: str):
+    """Add the wall time of the block, in milliseconds, to tm[name]."""
+    t0 = time.perf_counter()
+    try:
+        yield
+    finally:
+        tm[name] += (time.perf_counter() - t0) * 1e3
+
+
+def _recover(pk: GptPublicKey, c: list[int], G: MatFqm, codeword: list[int]):
+    """Solve m G = codeword and accept m only when c - m G_pub has rank at
+    most t.  Returns (m, None) or (None, failure reason)."""
+    ctx, t = pk.params.ctx, pk.params.t
+    sol = la.solve_left(G, MatFqm(ctx, [codeword]))
+    if sol is None:
+        return None, "message_solve_failed"
+    msg = sol.data[0]
+    resid = [ctx.sub(a, b) for a, b in zip(c, la.vec_mat(ctx, msg, pk.G_pub))]
+    if la.rank_fq(ctx, resid) > t:
+        return None, "verification_failed"
+    return msg, None
 
 
 def attack_extension(
@@ -260,53 +285,37 @@ def attack_extension(
     failure = "no_split_found"
     stab_dim = None
     for i in range(1, i_max + 1):
-        t0 = time.perf_counter()
-        L = qsum(C_pub, i)
-        tm["qsum"] += (time.perf_counter() - t0) * 1e3
+        with _phase(tm, "qsum"):
+            L = qsum(C_pub, i)
         if L.k == N:
             failure = "qsum_saturated"
             break
-        t0 = time.perf_counter()
-        alg = stabilizer(L)
-        tm["stabilizer"] += (time.perf_counter() - t0) * 1e3
+        with _phase(tm, "stabilizer"):
+            alg = stabilizer(L)
         stab_dim = alg.dim
         if alg.dim < 2:
             failure = "stabilizer_trivial"
             continue
-        t0 = time.perf_counter()
         try:
-            F = find_rank_n_idempotent(alg, n)
+            with _phase(tm, "idempotent"):
+                F = find_rank_n_idempotent(alg, n)
         except AttackError as ex:
             failure = str(ex)
             continue
-        finally:
-            tm["idempotent"] += (time.perf_counter() - t0) * 1e3
-        t0 = time.perf_counter()
-        CF = Code(C_pub.gen @ F)
-        res = decode(CF, la.vec_mat(ctx, c, F), t, retry_all=retry_all)
-        tm["decode"] += (time.perf_counter() - t0) * 1e3
+        with _phase(tm, "decode"):
+            CF = Code(C_pub.gen @ F)
+            res = decode(CF, la.vec_mat(ctx, c, F), t, retry_all=retry_all)
         if not res.ok:
             failure = "decode_" + res.status
             continue
-        t0 = time.perf_counter()
-        GF = pk.G_pub @ F
-        if la.rank(GF) < k:
-            failure = "projected_generator_rank_deficient"
-            tm["recover"] += (time.perf_counter() - t0) * 1e3
-            continue
-        sol = la.solve_left(GF, MatFqm(ctx, [res.codeword]))
-        if sol is None:
-            failure = "message_solve_failed"
-            tm["recover"] += (time.perf_counter() - t0) * 1e3
-            continue
-        msg = sol.data[0]
-        resid = [ctx.sub(a, b) for a, b in zip(c, la.vec_mat(ctx, msg, pk.G_pub))]
-        tm["recover"] += (time.perf_counter() - t0) * 1e3
-        if la.rank_fq(ctx, resid) <= t:
-            return AttackReport(
-                "extension", True, msg, None, i, alg.dim, F, tm
-            )
-        failure = "verification_failed"
+        with _phase(tm, "recover"):
+            GF = pk.G_pub @ F
+            if la.rank(GF) < k:
+                msg, failure = None, "projected_generator_rank_deficient"
+            else:
+                msg, failure = _recover(pk, c, GF, res.codeword)
+        if msg is not None:
+            return AttackReport("extension", True, msg, None, i, alg.dim, F, tm)
     return AttackReport("extension", False, None, failure, None, stab_dim, None, tm)
 
 
@@ -324,70 +333,37 @@ def attack_overbeck(pk: GptPublicKey, c: list[int], rng, i: int = 1) -> AttackRe
     if len(c) != N:
         raise ValueError("ciphertext length mismatch")
     tm = {"qsum": 0.0, "scrambler": 0.0, "decode": 0.0, "recover": 0.0}
-    t0 = time.perf_counter()
-    L = qsum(Code(pk.G_pub), i)
-    H_pub = la.right_kernel(L.gen)
-    tm["qsum"] = (time.perf_counter() - t0) * 1e3
+
+    def fail(reason: str) -> AttackReport:
+        return AttackReport("overbeck_classic", False, failure=reason, i_used=i, timings_ms=tm)
+
+    with _phase(tm, "qsum"):
+        L = qsum(Code(pk.G_pub), i)
+        H_pub = la.right_kernel(L.gen)
     expected = n - min(k + i + ell * (i + 1), n)
     if H_pub.rows != expected:
-        return AttackReport(
-            "overbeck_classic",
-            False,
-            failure=f"distortion_not_eliminated: dual dimension {H_pub.rows}, expected {expected}",
-            i_used=i,
-            timings_ms=tm,
-        )
-    t0 = time.perf_counter()
-    W = la.right_kernel(la.expand_fq_system(H_pub))
-    if W.rows != lam:
-        return AttackReport(
-            "overbeck_classic",
-            False,
-            failure=f"scrambler_kernel_dimension {W.rows} != lambda {lam}",
-            i_used=i,
-            timings_ms=tm,
-        )
-    T = None
-    for _ in range(la._RESAMPLE_CAP):
-        cand = W.vstack(MatFq.random(ctx.q, n, N, rng))
-        if la.rank(cand) == N:
-            T = cand
-            break
-    tm["scrambler"] = (time.perf_counter() - t0) * 1e3
-    if T is None:
-        return AttackReport(
-            "overbeck_classic", False, failure="no_invertible_completion",
-            i_used=i, timings_ms=tm,
-        )
+        return fail(f"distortion_not_eliminated: dual dimension {H_pub.rows}, expected {expected}")
+    with _phase(tm, "scrambler"):
+        W = la.right_kernel(la.expand_fq_system(H_pub))
+        if W.rows != lam:
+            return fail(f"scrambler_kernel_dimension {W.rows} != lambda {lam}")
+        for _ in range(la._RESAMPLE_CAP):
+            T = W.vstack(MatFq.random(ctx.q, n, N, rng))
+            if la.rank(T) == N:
+                break
+        else:
+            return fail("no_invertible_completion")
     Tinv = T.inverse()
     Gp = (pk.G_pub @ Tinv).take_cols(lam, N)
     if la.rank(Gp) != k:
-        return AttackReport(
-            "overbeck_classic", False, failure="stripped_generator_rank_deficient",
-            i_used=i, timings_ms=tm,
-        )
-    t0 = time.perf_counter()
-    y2 = la.vec_mat(ctx, c, Tinv)[lam:]
-    res = decode(Code(Gp), y2, t, retry_all=True)
-    tm["decode"] = (time.perf_counter() - t0) * 1e3
+        return fail("stripped_generator_rank_deficient")
+    with _phase(tm, "decode"):
+        y2 = la.vec_mat(ctx, c, Tinv)[lam:]
+        res = decode(Code(Gp), y2, t, retry_all=True)
     if not res.ok:
-        return AttackReport(
-            "overbeck_classic", False, failure="decode_" + res.status,
-            i_used=i, timings_ms=tm,
-        )
-    t0 = time.perf_counter()
-    sol = la.solve_left(Gp, MatFqm(ctx, [res.codeword]))
-    if sol is None:
-        return AttackReport(
-            "overbeck_classic", False, failure="message_solve_failed",
-            i_used=i, timings_ms=tm,
-        )
-    msg = sol.data[0]
-    resid = [ctx.sub(a, b) for a, b in zip(c, la.vec_mat(ctx, msg, pk.G_pub))]
-    tm["recover"] = (time.perf_counter() - t0) * 1e3
-    if la.rank_fq(ctx, resid) > t:
-        return AttackReport(
-            "overbeck_classic", False, failure="verification_failed",
-            i_used=i, timings_ms=tm,
-        )
+        return fail("decode_" + res.status)
+    with _phase(tm, "recover"):
+        msg, failure = _recover(pk, c, Gp, res.codeword)
+    if failure is not None:
+        return fail(failure)
     return AttackReport("overbeck_classic", True, msg, None, i, None, None, tm)

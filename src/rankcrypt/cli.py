@@ -327,10 +327,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _DISPATCH[args.command](args)
-    except DecryptError as ex:
-        _err("method", str(ex))
-        return 1
-    except AttackError as ex:
+    except (DecryptError, AttackError) as ex:
         _err("method", str(ex))
         return 1
     except (OSError, json.JSONDecodeError, KeyError) as ex:

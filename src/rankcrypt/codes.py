@@ -9,9 +9,14 @@ Moore matrix get an extra term eta_j g^[k-1+t_j].  The q-sum
 Lambda_i(C) = C + C^[1] + ... + C^[i] is the distinguishing invariant: its
 dimension grows by 1 per step for Gabidulin codes, by 1 + ell for twisted
 ones, and by k for random codes until saturation.
+
+_qsum_echelon is the one Frobenius loop that builds the q-sums; qsum,
+dim_profile and decoder.max_radius all read it.
 """
 
 from __future__ import annotations
+
+import itertools
 
 from . import linalg as la
 from .fields import FieldCtx
@@ -39,10 +44,7 @@ class Code:
         return self.gen.rows
 
     def contains(self, v: list[int]) -> bool:
-        ech = la._FqmEchelon(self.ctx, self.n)
-        for r in self.gen.data:
-            ech.add(r)
-        return ech.contains(v)
+        return la._FqmEchelon(self.ctx, self.n, self.gen.data).contains(v)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Code) and self.gen == other.gen
@@ -169,42 +171,38 @@ def prw_parameters(ctx: FieldCtx, n: int, k: int, ell: int, rng) -> TwistParams:
     return TwistParams(h, t, eta)
 
 
+def _qsum_echelon(C: Code):
+    """Yield the echelon of Lambda_0(C), Lambda_1(C), ... in turn.
+
+    One echelon object grows in place, so read it before advancing.  The
+    generator stops after yielding the first saturated echelon (rank n):
+    no Frobenius work is done past saturation."""
+    ctx, n = C.ctx, C.n
+    rows = C.gen.data
+    ech = la._FqmEchelon(ctx, n, rows)
+    while True:
+        yield ech
+        if ech.rank == n:
+            return
+        rows = [ctx.frob_row(r) for r in rows]
+        for r in rows:
+            ech.add(r)
+
+
 def qsum(C: Code, i: int) -> Code:
     """Lambda_i(C) = C + C^[1] + ... + C^[i]."""
     if i < 0:
         raise ValueError("i must be >= 0")
-    ctx, n = C.ctx, C.n
-    ech = la._FqmEchelon(ctx, n)
-    rows = [list(r) for r in C.gen.data]
-    for r in rows:
-        ech.add(r)
-    for _ in range(i):
-        if ech.rank == n:
-            break
-        rows = [ctx.frob_row(r) for r in rows]
-        for r in rows:
-            ech.add(r)
-    gen = MatFqm(ctx, [ech.pivots[j] for j in sorted(ech.pivots)], n)
+    for ech in itertools.islice(_qsum_echelon(C), i + 1):
+        pass
+    gen = MatFqm(C.ctx, [ech.pivots[j] for j in sorted(ech.pivots)], C.n)
     return Code(gen)
 
 
 def dim_profile(C: Code, i_max: int) -> list[int]:
     """[dim Lambda_i(C) for i = 0..i_max]; constant n once saturated."""
-    ctx, n = C.ctx, C.n
-    ech = la._FqmEchelon(ctx, n)
-    rows = [list(r) for r in C.gen.data]
-    for r in rows:
-        ech.add(r)
-    dims = [ech.rank]
-    for _ in range(i_max):
-        if ech.rank == n:
-            dims.append(n)
-            continue
-        rows = [ctx.frob_row(r) for r in rows]
-        for r in rows:
-            ech.add(r)
-        dims.append(ech.rank)
-    return dims
+    dims = [ech.rank for ech in itertools.islice(_qsum_echelon(C), i_max + 1)]
+    return dims + [C.n] * (i_max + 1 - len(dims))
 
 
 def classify(C: Code, profile: list[int] | None = None):

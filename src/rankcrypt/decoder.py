@@ -23,7 +23,7 @@ import itertools
 from dataclasses import dataclass
 
 from . import linalg as la
-from .codes import Code, qsum
+from .codes import Code, _qsum_echelon, qsum
 from .fields import FieldCtx
 from .linalg import MatFqm
 from .qpoly import LinPoly
@@ -46,21 +46,11 @@ def max_radius(C: Code) -> int:
     """Largest t with dim Lambda_t(C) + t <= n, measured directly.
 
     For an [n, k] Gabidulin code this is floor((n-k)/2)."""
-    ctx, n = C.ctx, C.n
-    ech = la._FqmEchelon(ctx, n)
-    rows = [list(r) for r in C.gen.data]
-    for r in rows:
-        ech.add(r)
     best = 0
-    for t in range(1, n + 1):
-        rows = [ctx.frob_row(r) for r in rows]
-        for r in rows:
-            ech.add(r)
-        if ech.rank + t > n:
+    for t, ech in enumerate(_qsum_echelon(C)):
+        if ech.rank + t > C.n:  # by t = n+1 at the latest: a zero code never saturates
             break
         best = t
-        if ech.rank == n:
-            break
     return best
 
 
@@ -104,22 +94,30 @@ def decode(C: Code, y: list[int], t: int, retry_all: bool = False) -> DecodeResu
 def _error_over_kernel(ctx, H, y, syndrome, P):
     """Step 2: solve H(y-e)^T = 0 with every e_i confined to ker(P)."""
     kappa = P.kernel()
-    r = len(kappa)
-    n = len(y)
-    if r == 0:
+    if not kappa:
         if any(syndrome):
             return None
-        return list(y), [0] * n
+        return list(y), [0] * len(y)
+    e = _error_over_support(ctx, H, syndrome, kappa, len(y))
+    if e is None:
+        return None
+    return [ctx.sub(yc, ec) for yc, ec in zip(y, e)], e
+
+
+def _error_over_support(ctx, H, syndrome, kappa, n):
+    """Error e of length n with every e_i in span_Fq(kappa) and
+    H e^T = syndrome, free variables zero; None if there is none."""
     rows = []
     for hrow in H.data:
         row = []
         for a in hrow:
             row.extend(ctx.mul(a, kp) if a else 0 for kp in kappa)
         rows.append(row)
-    A, b = la.expand_fq_system(MatFqm(ctx, rows, n * r), syndrome)
+    A, b = la.expand_fq_system(MatFqm(ctx, rows, n * len(kappa)), syndrome)
     x = la.solve_fq(A, b)
     if x is None:
         return None
+    r = len(kappa)
     e = []
     for c in range(n):
         acc = 0
@@ -128,8 +126,7 @@ def _error_over_kernel(ctx, H, y, syndrome, P):
             if s:
                 acc = ctx.add(acc, ctx.mul(s, kappa[rho]))
         e.append(acc)
-    codeword = [ctx.sub(yc, ec) for yc, ec in zip(y, e)]
-    return codeword, e
+    return e
 
 
 # -- support-enumeration oracle -------------------------------------------
@@ -192,29 +189,6 @@ def brute_force_decode(C: Code, y: list[int], t: int) -> DecodeResult:
                 codeword = [ctx.sub(yc, ec) for yc, ec in zip(y, e)]
                 return DecodeResult("decoded", codeword, e)
     return DecodeResult("no_error_solution")
-
-
-def _error_over_support(ctx, H, syndrome, kappa, n):
-    rows = []
-    for hrow in H.data:
-        row = []
-        for a in hrow:
-            row.extend(ctx.mul(a, kp) if a else 0 for kp in kappa)
-        rows.append(row)
-    A, b = la.expand_fq_system(MatFqm(ctx, rows, n * len(kappa)), syndrome)
-    x = la.solve_fq(A, b)
-    if x is None:
-        return None
-    r = len(kappa)
-    e = []
-    for c in range(n):
-        acc = 0
-        for rho in range(r):
-            s = x[c * r + rho]
-            if s:
-                acc = ctx.add(acc, ctx.mul(s, kappa[rho]))
-        e.append(acc)
-    return e
 
 
 class _BitSupportSolver:

@@ -121,8 +121,16 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _proper_divisors(m: int) -> list[int]:
-    return [d for d in range(1, m) if m % d == 0]
+def _nibble_table(a: int) -> tuple[int, ...]:
+    """Carry-less products a * v for the 16 nibbles v, unreduced."""
+    t1 = a << 1
+    t2 = a << 2
+    t3 = a << 3
+    return (
+        0, a, t1, t1 ^ a, t2, t2 ^ a, t2 ^ t1, t2 ^ t1 ^ a,
+        t3, t3 ^ a, t3 ^ t1, t3 ^ t1 ^ a, t3 ^ t2, t3 ^ t2 ^ a,
+        t3 ^ t2 ^ t1, t3 ^ t2 ^ t1 ^ a,
+    )
 
 
 class FieldCtx:
@@ -136,6 +144,7 @@ class FieldCtx:
     m: int
     modulus: tuple[int, ...]  # coefficients low degree first, length m+1
     order: int
+    _frob_imgs: dict[int, list[int]]  # i -> images of the basis under a -> a^(q^i)
 
     zero = 0
     one = 1
@@ -160,8 +169,8 @@ class FieldCtx:
     def inv(self, a: int) -> int:
         raise NotImplementedError
 
-    def frob(self, a: int, i: int = 1) -> int:
-        """a^(q^i); negative i is the inverse automorphism (i mod m)."""
+    def _apply_frob(self, imgs: list[int], a: int) -> int:
+        """The F_q-linear map sending basis element x^j to imgs[j], at a."""
         raise NotImplementedError
 
     def coeffs(self, a: int) -> list[int]:
@@ -174,6 +183,21 @@ class FieldCtx:
         raise NotImplementedError
 
     # -- shared -------------------------------------------------------------
+    def frob(self, a: int, i: int = 1) -> int:
+        """a^(q^i); negative i is the inverse automorphism (i mod m)."""
+        i %= self.m
+        if i == 0 or a == 0:
+            return a
+        return self._apply_frob(self._frob_images(i), a)
+
+    def _frob_images(self, i: int) -> list[int]:
+        imgs = self._frob_imgs.get(i)
+        if imgs is None:
+            prev = self._frob_images(i - 1)
+            imgs = [self._apply_frob(prev, v) for v in self._frob_imgs[1]]
+            self._frob_imgs[i] = imgs
+        return imgs
+
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
 
@@ -308,14 +332,7 @@ class _BinaryCtx(FieldCtx):
         return lo
 
     def _mul_nibble(self, a: int, b: int) -> int:
-        t1 = a << 1
-        t2 = a << 2
-        t3 = a << 3
-        tab = (
-            0, a, t1, t1 ^ a, t2, t2 ^ a, t2 ^ t1, t2 ^ t1 ^ a,
-            t3, t3 ^ a, t3 ^ t1, t3 ^ t1 ^ a, t3 ^ t2, t3 ^ t2 ^ a,
-            t3 ^ t2 ^ t1, t3 ^ t2 ^ t1 ^ a,
-        )
+        tab = _nibble_table(a)
         acc = 0
         shift = 0
         while b:
@@ -362,11 +379,8 @@ class _BinaryCtx(FieldCtx):
             raise AssertionError("gcd != 1; modulus not irreducible")
         return self._reduce(s0)
 
-    def frob(self, a: int, i: int = 1) -> int:
-        i %= self.m
-        if i == 0 or a == 0:
-            return a
-        imgs = self._frob_images(i)
+    @staticmethod
+    def _apply_frob(imgs: list[int], a: int) -> int:
         acc = 0
         j = 0
         while a:
@@ -375,25 +389,6 @@ class _BinaryCtx(FieldCtx):
             a >>= 1
             j += 1
         return acc
-
-    def _frob_images(self, i: int) -> list[int]:
-        imgs = self._frob_imgs.get(i)
-        if imgs is None:
-            prev = self._frob_images(i - 1)
-            base = self._frob_imgs[1]
-            imgs = []
-            for j in range(self.m):
-                v = base[j]
-                acc = 0
-                t = 0
-                while v:
-                    if v & 1:
-                        acc ^= prev[t]
-                    v >>= 1
-                    t += 1
-                imgs.append(acc)
-            self._frob_imgs[i] = imgs
-        return imgs
 
     def coeffs(self, a: int) -> list[int]:
         return [(a >> i) & 1 for i in range(self.m)]
@@ -412,45 +407,8 @@ class _BinaryCtx(FieldCtx):
 
     # -- hot-loop helpers ------------------------------------------------------
     def mul_row(self, a: int, row: list[int]) -> list[int]:
-        if a == 0:
-            return [0] * len(row)
-        if a == 1:
-            return list(row)
-        log = self._log
-        if log is not None:
-            exp = self._exp
-            la = log[a]
-            return [exp[la + log[b]] if b else 0 for b in row]
-        t1 = a << 1
-        t2 = a << 2
-        t3 = a << 3
-        tab = (
-            0, a, t1, t1 ^ a, t2, t2 ^ a, t2 ^ t1, t2 ^ t1 ^ a,
-            t3, t3 ^ a, t3 ^ t1, t3 ^ t1 ^ a, t3 ^ t2, t3 ^ t2 ^ a,
-            t3 ^ t2 ^ t1, t3 ^ t2 ^ t1 ^ a,
-        )
-        m = self.m
-        mask = self._mask
-        red = self._red
-        out = []
-        for b in row:
-            if b:
-                acc = 0
-                shift = 0
-                while b:
-                    acc ^= tab[b & 15] << shift
-                    b >>= 4
-                    shift += 4
-                lo = acc & mask
-                hi = acc >> m
-                j = 0
-                while hi:
-                    lo ^= red[j][hi & 15]
-                    hi >>= 4
-                    j += 1
-                out.append(lo)
-            else:
-                out.append(0)
+        out = [0] * len(row)
+        self.mac_row(out, a, row)
         return out
 
     def mac_row(self, acc: list[int], a: int, row: list[int]) -> None:
@@ -469,14 +427,7 @@ class _BinaryCtx(FieldCtx):
                 if b:
                     acc[j] ^= exp[la + log[b]]
             return
-        t1 = a << 1
-        t2 = a << 2
-        t3 = a << 3
-        tab = (
-            0, a, t1, t1 ^ a, t2, t2 ^ a, t2 ^ t1, t2 ^ t1 ^ a,
-            t3, t3 ^ a, t3 ^ t1, t3 ^ t1 ^ a, t3 ^ t2, t3 ^ t2 ^ a,
-            t3 ^ t2 ^ t1, t3 ^ t2 ^ t1 ^ a,
-        )
+        tab = _nibble_table(a)
         m = self.m
         mask = self._mask
         red = self._red
@@ -502,17 +453,8 @@ class _BinaryCtx(FieldCtx):
         if i == 0:
             return list(row)
         imgs = self._frob_images(i)
-        out = []
-        for a in row:
-            acc = 0
-            j = 0
-            while a:
-                if a & 1:
-                    acc ^= imgs[j]
-                a >>= 1
-                j += 1
-            out.append(acc)
-        return out
+        apply = self._apply_frob
+        return [apply(imgs, a) for a in row]
 
 
 class _PrimeCtx(FieldCtx):
@@ -549,11 +491,6 @@ class _PrimeCtx(FieldCtx):
         for i, c in enumerate(cs):
             a += (c % self.q) * self._pow_q[i]
         return a
-
-    def _enc_elem(self, cs: list[int]) -> int:
-        if len(cs) > self.m:
-            raise ValueError("unreduced coefficient vector")
-        return self._enc(cs)
 
     def add(self, a: int, b: int) -> int:
         da, db = self._dec(a), self._dec(b)
@@ -604,11 +541,7 @@ class _PrimeCtx(FieldCtx):
         c_inv = pow(r0[0], q - 2, q)
         return self._enc(_l_mod([(c * c_inv) % q for c in s0], self._f, q))
 
-    def frob(self, a: int, i: int = 1) -> int:
-        i %= self.m
-        if i == 0 or a == 0:
-            return a
-        imgs = self._frob_images(i)
+    def _apply_frob(self, imgs: list[int], a: int) -> int:
         acc = [0] * self.m
         q = self.q
         for j, c in enumerate(self._dec(a)):
@@ -617,23 +550,6 @@ class _PrimeCtx(FieldCtx):
                 for t in range(self.m):
                     acc[t] = (acc[t] + c * img[t]) % q
         return self._enc(acc)
-
-    def _frob_images(self, i: int) -> list[int]:
-        imgs = self._frob_imgs.get(i)
-        if imgs is None:
-            prev = self._frob_images(i - 1)
-            base = self._frob_imgs[1]
-            imgs = []
-            for j in range(self.m):
-                acc = [0] * self.m
-                for t, c in enumerate(self._dec(base[j])):
-                    if c:
-                        img = self._dec(prev[t])
-                        for u in range(self.m):
-                            acc[u] = (acc[u] + c * img[u]) % self.q
-                imgs.append(self._enc(acc))
-            self._frob_imgs[i] = imgs
-        return imgs
 
     def coeffs(self, a: int) -> list[int]:
         return self._dec(a)

@@ -30,10 +30,12 @@ class _FqmEchelon:
     actual canonical matrix is wanted.
     """
 
-    def __init__(self, ctx: FieldCtx, width: int):
+    def __init__(self, ctx: FieldCtx, width: int, rows=()):
         self.ctx = ctx
         self.width = width
         self.pivots: dict[int, list[int]] = {}  # pivot column -> row
+        for r in rows:
+            self.add(r)
 
     @property
     def rank(self) -> int:
@@ -102,9 +104,9 @@ class _BitEchelon:
             row ^= prow
         return True
 
-    def kernel_basis(self) -> list[int]:
-        """Basis of {x : row . x = 0 for every inserted row}, as bitmasks."""
-        # full back-substitution so each pivot column appears in one row only
+    def reduce(self) -> list[int]:
+        """Back-substitute so each pivot column is set in its own row only;
+        returns the pivot columns in increasing order."""
         cols = sorted(self.pivots)
         for idx in range(len(cols) - 1, -1, -1):
             j = cols[idx]
@@ -113,6 +115,11 @@ class _BitEchelon:
                 if (row >> jj) & 1:
                     row ^= self.pivots[jj]
             self.pivots[j] = row
+        return cols
+
+    def kernel_basis(self) -> list[int]:
+        """Basis of {x : row . x = 0 for every inserted row}, as bitmasks."""
+        cols = self.reduce()
         pivset = set(cols)
         basis = []
         for f in range(self.width):
@@ -460,10 +467,7 @@ def rref(M, trim: bool = False):
 
 def rank(M) -> int:
     if isinstance(M, MatFqm):
-        ech = _FqmEchelon(M.ctx, M.cols)
-        for r in M.data:
-            ech.add(r)
-        return ech.rank
+        return _FqmEchelon(M.ctx, M.cols, M.data).rank
     if isinstance(M, MatFq):
         data = [list(r) for r in M.data]
         return _rref_rows_fq(data, M.q, M.cols)
@@ -480,24 +484,17 @@ def right_kernel(M):
     ncols = M.cols
     free = [j for j in range(ncols) if j not in set(pivs)]
     if isinstance(M, MatFqm):
-        ctx = M.ctx
-        basis = []
-        for f in free:
-            v = [0] * ncols
-            v[f] = 1
-            for i, p in enumerate(pivs):
-                v[p] = ctx.neg(R.data[i][f])
-            basis.append(v)
-        return MatFqm(ctx, basis, ncols)
-    q = M.q
+        base, neg = M.ctx, M.ctx.neg
+    else:
+        base, neg = M.q, lambda a: (-a) % M.q
     basis = []
     for f in free:
         v = [0] * ncols
         v[f] = 1
         for i, p in enumerate(pivs):
-            v[p] = (-R.data[i][f]) % q
+            v[p] = neg(R.data[i][f])
         basis.append(v)
-    return MatFq(q, basis, ncols)
+    return type(M)(base, basis, ncols)
 
 
 # -- vectors ------------------------------------------------------------
@@ -518,15 +515,7 @@ def mat_vec(ctx: FieldCtx, M, v: list[int]) -> list[int]:
     """Matrix times column vector, returned as a list (M may be MatFq)."""
     if len(v) != M.cols:
         raise ValueError("shape mismatch")
-    mul, add = ctx.mul, ctx.add
-    out = []
-    for row in M.data:
-        s = 0
-        for a, b in zip(row, v):
-            if a and b:
-                s = add(s, mul(a, b))
-        out.append(s)
-    return out
+    return [dot(ctx, row, v) for row in M.data]
 
 
 def dot(ctx: FieldCtx, u: list[int], v: list[int]) -> int:
@@ -620,16 +609,8 @@ def _solve_bits(rows, cols: int) -> list[int] | None:
         ech.add(r)
     if cols in ech.pivots:
         return None  # a row reduced to 0 = 1
-    pcols = sorted(ech.pivots)
-    for idx in range(len(pcols) - 1, -1, -1):
-        j = pcols[idx]
-        row = ech.pivots[j]
-        for jj in pcols[idx + 1 :]:
-            if (row >> jj) & 1:
-                row ^= ech.pivots[jj]
-        ech.pivots[j] = row
     x = [0] * cols
-    for j in pcols:
+    for j in ech.reduce():
         x[j] = (ech.pivots[j] >> cols) & 1
     return x
 
@@ -682,9 +663,7 @@ def space_eq(A: MatFqm, B: MatFqm) -> bool:
 def space_contains(A: MatFqm, B: MatFqm) -> bool:
     """Is the row space of B inside the row space of A?"""
     A._check(B, cols=True)
-    ech = _FqmEchelon(A.ctx, A.cols)
-    for r in A.data:
-        ech.add(r)
+    ech = _FqmEchelon(A.ctx, A.cols, A.data)
     return all(ech.contains(r) for r in B.data)
 
 

@@ -24,16 +24,3 @@ def derive_rng(seed: int, index: int) -> np.random.Generator:
     """Generator for item `index` of a batch run seeded with `seed`."""
     return make_rng((seed + index) & MASK64)
 
-
-def rand_bits(rng: np.random.Generator, nbits: int) -> int:
-    """Uniform integer in [0, 2^nbits)."""
-    if nbits <= 0:
-        return 0
-    nbytes = (nbits + 7) // 8
-    v = int.from_bytes(rng.bytes(nbytes), "little")
-    return v & ((1 << nbits) - 1)
-
-
-def rand_below(rng: np.random.Generator, bound: int) -> int:
-    """Uniform integer in [0, bound)."""
-    return int(rng.integers(0, bound))

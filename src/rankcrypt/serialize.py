@@ -121,7 +121,7 @@ def params_to_json(p: GptParams) -> dict:
 def params_from_json(obj: dict) -> GptParams:
     ctx = field_from_json(obj["field"])
     t = obj.get("t")
-    return GptParams(
+    params = GptParams(
         ctx,
         n=int(obj["n"]),
         k=int(obj["k"]),
@@ -131,6 +131,8 @@ def params_from_json(obj: dict) -> GptParams:
         ell=int(obj["ell"]),
         t=None if t is None else int(t),
     )
+    params.validate()
+    return params
 
 
 def secret_key_to_json(sk: GptSecretKey) -> dict:
@@ -173,7 +175,11 @@ def public_key_to_json(pk: GptPublicKey) -> dict:
 
 def public_key_from_json(obj: dict) -> GptPublicKey:
     params = params_from_json(obj["params"])
-    return GptPublicKey(params, matfqm_from_json(params.ctx, obj["public"]["G_pub"]))
+    G_pub = matfqm_from_json(params.ctx, obj["public"]["G_pub"])
+    N = params.n + params.lam
+    if (G_pub.rows, G_pub.cols) != (params.k, N):
+        raise ValueError(f"G_pub is {G_pub.rows}x{G_pub.cols}, expected {params.k}x{N}")
+    return GptPublicKey(params, G_pub)
 
 
 def ciphertext_to_json(ctx: FieldCtx, c: list[int]) -> dict:

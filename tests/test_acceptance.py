@@ -18,7 +18,6 @@ from rankcrypt.attack import (
     attack_extension,
     attack_overbeck,
     find_rank_n_idempotent,
-    stabilizer,
 )
 from rankcrypt.codes import (
     Code,
@@ -292,9 +291,8 @@ def test_criterion_8_stabilizer_structure(capsys, low_rank_keys):
     ctx = field(2, 28)
     dim2 = checked = exact = 0
     for sk, pk, msg, c, rep, ovb, key_time in low_rank_keys:
-        L = qsum(Code(pk.G_pub), 1)
-        alg = stabilizer(L)
-        dim2 += alg.dim == 2
+        # rep.stab_dim is dim Stab(Lambda_1(C_pub)): the fixture ran i_max=1
+        dim2 += rep.stab_dim == 2
         if not rep.success:
             continue
         checked += 1

@@ -66,6 +66,8 @@ def test_stabilizer_contains_identity_and_closed_under_product():
     L = qsum(Code(pk.G_pub), 1)
     alg = stabilizer(L)
     N = alg.n_total
+    # the attack reports this dimension (acceptance criterion 8 reads it)
+    assert attack_extension(pk, c, i_max=1).stab_dim == alg.dim
     # identity in the F_q-span of the basis
     flat = MatFq(2, [[v for row in M.data for v in row] for M in alg.basis], N * N)
     I_flat = MatFq(2, [[v for row in MatFq.identity(2, N).data for v in row]], N * N)

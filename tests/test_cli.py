@@ -122,3 +122,37 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     # infeasible params
     assert run("keygen", "--q", "2", "--m", "24", "--n", "30", "--k", "9",
                "--lambda", "2", "--s", "1", "--out", str(tmp_path / "x")) == 2
+
+
+def _attack_tampered_key(tmp_path, capsys, tamper):
+    """Run the extension attack on a public key edited by tamper(obj);
+    returns the exit code and the lines written to stderr."""
+    pk, _ = _keygen(tmp_path)
+    ct = str(tmp_path / "ct.json")
+    assert run("encrypt", "--in", pk, "--seed", "7", "--out", ct) == 0
+    obj = json.loads(open(pk).read())
+    tamper(obj)
+    json.dump(obj, open(pk, "w"))
+    capsys.readouterr()
+    rc = run("attack", "--in", pk, "--in", ct, "--mode", "extension")
+    return rc, capsys.readouterr().err.strip().splitlines()
+
+
+def test_attack_rejects_invalid_params(tmp_path, capsys):
+    def tamper(obj):
+        obj["params"]["k"] = -3
+
+    rc, err = _attack_tampered_key(tmp_path, capsys, tamper)
+    assert rc == 2
+    assert len(err) == 1 and json.loads(err[0])["kind"] == "usage"
+
+
+def test_attack_rejects_wrong_generator_shape(tmp_path, capsys):
+    def tamper(obj):
+        G = obj["public"]["G_pub"]  # k = 9 rows of n + lambda = 22 entries
+        G["rows"] = 8
+        G["entries"] = G["entries"][: 8 * G["cols"]]
+
+    rc, err = _attack_tampered_key(tmp_path, capsys, tamper)
+    assert rc == 2
+    assert len(err) == 1 and json.loads(err[0])["kind"] == "usage"

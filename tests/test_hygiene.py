@@ -1,0 +1,30 @@
+"""Static checks on the package source."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "rankcrypt"
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def test_no_unreferenced_private_definitions():
+    """Every private function, method or class defined in the package is
+    referenced somewhere in it, by name, attribute or import."""
+    defined: dict[str, str] = {}
+    used: set[str] = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if _is_private(node.name):
+                    defined.setdefault(node.name, f"{path.name}:{node.lineno}")
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    unused = sorted(f"{where} {name}" for name, where in defined.items() if name not in used)
+    assert not unused, "private definitions never referenced: " + ", ".join(unused)
