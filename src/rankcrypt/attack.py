@@ -15,10 +15,8 @@ Three layers:
     public code onto a decodable image with the distortion wiped out.
 
 The stabilizer is the kernel of G M H^T = 0 over F_q: k(N-k)m equations in
-N^2 unknowns after coordinate expansion.  Rows are streamed into an
-incremental echelon; once the kernel dimension stops shrinking the basis
-candidates are verified exactly against the full F_{q^m} system, which
-makes the early stop sound rather than heuristic.
+N^2 unknowns after coordinate expansion.  The system is solved in full by
+linalg.fq_kernel, for every q, so the basis is exact by construction.
 
 Nothing here reads secret keys.  Success is verified publicly: the
 recovered message must re-encode to within rank t of the ciphertext.
@@ -30,8 +28,6 @@ import contextlib
 import itertools
 import time
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from . import linalg as la
 from .codes import Code, qsum
@@ -69,82 +65,22 @@ class AttackReport:
 # -- stabilizer computation -------------------------------------------------
 
 
-def _pack_columns(prods: list[int], m: int) -> list[int]:
-    """Transpose N^2 field elements (m coefficient bits each) into m
-    bit-rows of width N^2: row tau holds coefficient tau of every product."""
-    nbytes = (m + 7) // 8
-    buf = b"".join(p.to_bytes(nbytes, "little") for p in prods)
-    arr = np.frombuffer(buf, dtype=np.uint8).reshape(len(prods), nbytes)
-    bits = np.unpackbits(arr, axis=1, bitorder="little")[:, :m]
-    packed = np.packbits(bits.T, axis=1, bitorder="little")
-    return [int.from_bytes(r.tobytes(), "little") for r in packed]
-
-
-def _bits_to_matfq(v: int, N: int) -> MatFq:
-    return MatFq(2, [[(v >> (u * N + j)) & 1 for j in range(N)] for u in range(N)], N)
-
-
-def _stab_check(G: MatFqm, H: MatFqm, M: MatFq) -> bool:
-    return ((G @ M) @ H.transpose()).is_zero()
-
-
-def _stab_kernel_q2(ctx, G: MatFqm, H: MatFqm, N: int) -> list[int]:
-    """F_2 kernel of the stabilizer system, streamed with a verified early
-    stop.  Every returned bitmask satisfies the full system exactly."""
-    ech = la._BitEchelon(N * N)
-    mul = ctx.mul
-    total = G.rows * H.rows
-    done = 0
-    stable = 0
-    prev_kdim = None
-    for ga in G.data:
-        for hb in H.data:
-            prods = []
-            for gu in ga:
-                if gu:
-                    prods.extend(mul(gu, hv) if hv else 0 for hv in hb)
-                else:
-                    prods.extend(0 for _ in hb)
-            for row in _pack_columns(prods, ctx.m):
-                ech.add(row)
-            done += 1
-            kdim = N * N - ech.rank
-            stable = stable + 1 if kdim == prev_kdim else 0
-            prev_kdim = kdim
-            if stable >= 2 and kdim <= 16 and done < total:
-                kern = ech.kernel_basis()
-                if all(_stab_check(G, H, _bits_to_matfq(v, N)) for v in kern):
-                    return kern
-                stable = 0  # a candidate failed: the plateau was premature
-    return ech.kernel_basis()
-
-
 def stabilizer(C: Code) -> StabilizerAlgebra:
-    """Right stabilizer Stab_r(C) = {M over F_q : C M <= C} as a kernel
-    basis of G M H^T = 0."""
+    """Right stabilizer Stab_r(C) = {M over F_q : C M <= C}: the F_q kernel
+    of G M H^T = 0, one F_{q^m} constraint g_a (x) h_b per row pair of G and
+    H, on the entries of M in row-major order."""
     ctx, N = C.ctx, C.n
     G = C.gen
     H = la.right_kernel(G)
-    if H.rows == 0 or G.rows == 0:
-        # no constraints: the full matrix algebra
-        basis = []
-        for u in range(N):
-            for v in range(N):
-                M = MatFq.zeros(ctx.q, N, N)
-                M.data[u][v] = 1
-                basis.append(M)
-        return StabilizerAlgebra(N, basis)
-    if ctx.q == 2:
-        kern = _stab_kernel_q2(ctx, G, H, N)
-        return StabilizerAlgebra(N, [_bits_to_matfq(v, N) for v in kern])
-    rows = []
-    for ga in G.data:
-        for hb in H.data:
-            rows.append([ctx.mul(gu, hv) if gu and hv else 0 for gu in ga for hv in hb])
-    A = la.expand_fq_system(MatFqm(ctx, rows, N * N))
+    mul = ctx.mul
+    rows = (
+        [mul(gu, hv) if gu and hv else 0 for gu in ga for hv in hb]
+        for ga in G.data
+        for hb in H.data
+    )
     basis = [
         MatFq(ctx.q, [vec[u * N : (u + 1) * N] for u in range(N)], N)
-        for vec in la.right_kernel(A).data
+        for vec in la.fq_kernel(ctx, rows, N * N).data
     ]
     return StabilizerAlgebra(N, basis)
 
@@ -280,6 +216,8 @@ def attack_extension(
         raise ValueError("ciphertext length mismatch")
     if i_max is None:
         i_max = max(1, n - k - 1)
+    if i_max < 1:
+        raise ValueError(f"i_max must be at least 1, got {i_max}")
     tm = {"qsum": 0.0, "stabilizer": 0.0, "idempotent": 0.0, "decode": 0.0, "recover": 0.0}
     C_pub = Code(pk.G_pub)
     failure = "no_split_found"
@@ -332,6 +270,8 @@ def attack_overbeck(pk: GptPublicKey, c: list[int], rng, i: int = 1) -> AttackRe
     N = n + lam
     if len(c) != N:
         raise ValueError("ciphertext length mismatch")
+    if i < 1:
+        raise ValueError(f"q-sum exponent i must be at least 1, got {i}")
     tm = {"qsum": 0.0, "scrambler": 0.0, "decode": 0.0, "recover": 0.0}
 
     def fail(reason: str) -> AttackReport:
@@ -344,7 +284,7 @@ def attack_overbeck(pk: GptPublicKey, c: list[int], rng, i: int = 1) -> AttackRe
     if H_pub.rows != expected:
         return fail(f"distortion_not_eliminated: dual dimension {H_pub.rows}, expected {expected}")
     with _phase(tm, "scrambler"):
-        W = la.right_kernel(la.expand_fq_system(H_pub))
+        W = la.fq_kernel(ctx, H_pub.data, N)
         if W.rows != lam:
             return fail(f"scrambler_kernel_dimension {W.rows} != lambda {lam}")
         for _ in range(la._RESAMPLE_CAP):

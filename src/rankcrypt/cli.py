@@ -187,7 +187,7 @@ def _cmd_attack(args) -> int:
     if args.mode == "extension":
         rep = attack_extension(pk, c, i_max=args.i_max)
     else:
-        rep = attack_overbeck(pk, c, make_rng(args.seed), i=args.i_max or 1)
+        rep = attack_overbeck(pk, c, make_rng(args.seed), i=1 if args.i_max is None else args.i_max)
     report_path = args.report or args.out
     if report_path:
         ser.write_json(report_path, ser.report_to_json(ctx, rep))

@@ -12,11 +12,14 @@ form of a generator matrix.  Equality of spaces is equality of canonical
 forms; intersections go through duals, (A cap B)-perp = A-perp + B-perp.
 
 The module also provides the bridge from F_{q^m}-linear constraints on
-F_q-valued unknowns to plain F_q systems (expand_fq_system), rank-metric
-weights (rank_fq), and the random samplers used by key generation.
+F_q-valued unknowns to plain F_q systems (expand_fq_system) and to their
+F_q kernel (fq_kernel), rank-metric weights (rank_fq), and the random
+samplers used by key generation.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from .fields import FieldCtx
 
@@ -74,8 +77,7 @@ class _FqmEchelon:
 
 class _BitEchelon:
     """Incremental row echelon over F_2 with rows packed into ints (bit j =
-    column j).  The workhorse for rank_fq at q=2 and for the large F_2
-    systems in the attack module."""
+    column j).  The workhorse for rank_fq and fq_kernel at q=2."""
 
     def __init__(self, width: int):
         self.width = width
@@ -167,13 +169,7 @@ class MatFqm:
     def random(cls, ctx: FieldCtx, rows: int, cols: int, rng) -> "MatFqm":
         return cls(ctx, [[ctx.random(rng) for _ in range(cols)] for _ in range(rows)], cols)
 
-    def copy(self) -> "MatFqm":
-        return MatFqm(self.ctx, self.data, self.cols)
-
     # -- structure ------------------------------------------------------
-    def row(self, i: int) -> list[int]:
-        return list(self.data[i])
-
     def transpose(self) -> "MatFqm":
         data = [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)]
         return MatFqm(self.ctx, data, self.rows)
@@ -301,9 +297,6 @@ class MatFq:
         vals = rng.integers(0, q, size=rows * cols)
         it = iter(int(v) for v in vals)
         return cls(q, [[next(it) for _ in range(cols)] for _ in range(rows)], cols)
-
-    def row(self, i: int) -> list[int]:
-        return list(self.data[i])
 
     def transpose(self) -> "MatFq":
         data = [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)]
@@ -568,6 +561,27 @@ def expand_fq_system(M: MatFqm, rhs: list[int] | None = None):
     for s in rhs:
         b.extend(ctx.coeffs(s))
     return A, b
+
+
+def fq_kernel(ctx: FieldCtx, rows, width: int) -> MatFq:
+    """Basis of {x in F_q^width : sum_j r_j x_j = 0 for every row r} for an
+    iterable of F_{q^m} rows, equal to right_kernel(expand_fq_system(...)).
+
+    At q=2 each row is split into its m coefficient bit-rows as it arrives
+    and fed to a _BitEchelon, so the expanded system is never held.
+    """
+    if ctx.q != 2:
+        return right_kernel(expand_fq_system(MatFqm(ctx, list(rows), width)))
+    m, nbytes = ctx.m, (ctx.m + 7) // 8
+    ech = _BitEchelon(width)
+    for row in rows:
+        buf = b"".join(a.to_bytes(nbytes, "little") for a in row)
+        arr = np.frombuffer(buf, dtype=np.uint8).reshape(width, nbytes)
+        bits = np.unpackbits(arr, axis=1, bitorder="little")[:, :m]
+        # bit-row t holds coefficient t of every entry
+        for packed in np.packbits(bits.T, axis=1, bitorder="little"):
+            ech.add(int.from_bytes(packed.tobytes(), "little"))
+    return MatFq(2, [[(v >> j) & 1 for j in range(width)] for v in ech.kernel_basis()], width)
 
 
 def solve_fq(A: MatFq, b: list[int]) -> list[int] | None:

@@ -11,13 +11,28 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+from . import linalg as la
 from .attack import AttackReport
 from .codes import Code, TwistParams
+from .decoder import max_radius
 from .fields import FieldCtx, field_from_json
 from .gpt import GptParams, GptPublicKey, GptSecretKey
 from .linalg import MatFq, MatFqm
 
 FORMAT_VERSION = 1
+
+
+def _check_format(obj: dict) -> None:
+    """Reject an artifact written under another format version."""
+    if obj.get("format") != FORMAT_VERSION:
+        raise ValueError(
+            f"unsupported format version {obj.get('format')!r}, expected {FORMAT_VERSION}"
+        )
+
+
+def _check_shape(name: str, M, rows: int, cols: int) -> None:
+    if (M.rows, M.cols) != (rows, cols):
+        raise ValueError(f"{name} is {M.rows}x{M.cols}, expected {rows}x{cols}")
 
 
 # -- leaf encoders -----------------------------------------------------------
@@ -151,11 +166,15 @@ def secret_key_to_json(sk: GptSecretKey) -> dict:
 
 
 def secret_key_from_json(obj: dict) -> GptSecretKey:
+    """Read a secret key, checking the shapes keygen produces: S is k x k,
+    X is k x lambda, P is invertible of size n + lambda over F_q, g has n
+    entries, and t is within the decoding radius of the secret code."""
+    _check_format(obj)
     params = params_from_json(obj["params"])
-    ctx = params.ctx
+    ctx, n, k, lam = params.ctx, params.n, params.k, params.lam
     sec = obj["secret"]
     tw = None if sec.get("tw") is None else twist_from_json(ctx, sec["tw"])
-    return GptSecretKey(
+    sk = GptSecretKey(
         params,
         vec_from_json(ctx, sec["g"]),
         tw,
@@ -163,6 +182,21 @@ def secret_key_from_json(obj: dict) -> GptSecretKey:
         matfqm_from_json(ctx, sec["X"]),
         matfq_from_json(sec["P"]),
     )
+    _check_shape("S", sk.S, k, k)
+    _check_shape("X", sk.X, k, lam)
+    _check_shape("P", sk.P, n + lam, n + lam)
+    if sk.P.q != ctx.q:
+        raise ValueError(f"P is over F_{sk.P.q}, expected F_{ctx.q}")
+    if la.rank(sk.P) != n + lam:
+        raise ValueError("P is singular")
+    if len(sk.g) != n:
+        raise ValueError(f"g has {len(sk.g)} entries, expected {n}")
+    if tw is not None:
+        tw.validate(n, k)
+    radius = max_radius(Code(sk.G_sec))
+    if params.t is None or params.t > radius:
+        raise ValueError(f"error rank t={params.t} exceeds decoding radius {radius}")
+    return sk
 
 
 def public_key_to_json(pk: GptPublicKey) -> dict:
@@ -174,11 +208,10 @@ def public_key_to_json(pk: GptPublicKey) -> dict:
 
 
 def public_key_from_json(obj: dict) -> GptPublicKey:
+    _check_format(obj)
     params = params_from_json(obj["params"])
     G_pub = matfqm_from_json(params.ctx, obj["public"]["G_pub"])
-    N = params.n + params.lam
-    if (G_pub.rows, G_pub.cols) != (params.k, N):
-        raise ValueError(f"G_pub is {G_pub.rows}x{G_pub.cols}, expected {params.k}x{N}")
+    _check_shape("G_pub", G_pub, params.k, params.n + params.lam)
     return GptPublicKey(params, G_pub)
 
 
@@ -187,6 +220,7 @@ def ciphertext_to_json(ctx: FieldCtx, c: list[int]) -> dict:
 
 
 def ciphertext_from_json(ctx: FieldCtx, obj: dict) -> list[int]:
+    _check_format(obj)
     return vec_from_json(ctx, obj["c"])
 
 
@@ -195,6 +229,8 @@ def message_to_json(ctx: FieldCtx, msg: list[int]) -> dict:
 
 
 def message_from_json(ctx: FieldCtx, obj: dict) -> list[int]:
+    if "format" in obj:  # hand-written message files may leave it out
+        _check_format(obj)
     return vec_from_json(ctx, obj["msg"])
 
 

@@ -30,10 +30,12 @@ def _low_rank_instance(seed):
     return ctx, params, sk, pk, msg, c, rng
 
 
-def test_stabilizer_invariants():
-    ctx = field(2, 16)
+@pytest.mark.parametrize("q", [2, 3])
+def test_stabilizer_invariants(q):
+    # the odd-q row is smaller: F_3 arithmetic is slower
+    ctx, n, k = (field(2, 16), 12, 5) if q == 2 else (field(3, 8), 8, 3)
     rng = make_rng(501)
-    C = random_code(ctx, 12, 5, rng)
+    C = random_code(ctx, n, k, rng)
     alg = stabilizer(C)
     G = C.gen
     H = la.right_kernel(G)
@@ -82,11 +84,17 @@ def test_stabilizer_contains_identity_and_closed_under_product():
             assert r3 == rank
 
 
-def test_stabilizer_of_full_space():
-    ctx = field(2, 8)
+@pytest.mark.parametrize("q", [2, 3])
+def test_stabilizer_of_full_space(q):
+    # no constraints: the basis is E_uv in (u, v) order
+    ctx = field(q, 8)
     full = Code(MatFqm.identity(ctx, 4))
     alg = stabilizer(full)
     assert alg.dim == 16
+    for idx, M in enumerate(alg.basis):
+        E = MatFq.zeros(q, 4, 4)
+        E.data[idx // 4][idx % 4] = 1
+        assert M == E
 
 
 def test_planted_idempotents_in_stabilizer():

@@ -156,3 +156,80 @@ def test_attack_rejects_wrong_generator_shape(tmp_path, capsys):
     rc, err = _attack_tampered_key(tmp_path, capsys, tamper)
     assert rc == 2
     assert len(err) == 1 and json.loads(err[0])["kind"] == "usage"
+
+
+def _usage_error(capsys, *argv):
+    """Run argv, expecting exit 2 and one JSON line of kind usage on stderr."""
+    capsys.readouterr()
+    rc = run(*argv)
+    err = capsys.readouterr().err.strip().splitlines()
+    return rc == 2 and len(err) == 1 and json.loads(err[0])["kind"] == "usage"
+
+
+def _decrypt_tampered(tmp_path, capsys, tamper_sk=None, tamper_ct=None, seed=11):
+    """Decrypt a fresh ciphertext after editing the secret key or the
+    ciphertext file; True when it is refused as a usage error."""
+    tmp_path.mkdir(exist_ok=True)
+    pk, sk = _keygen(tmp_path, seed)
+    ct = str(tmp_path / "ct.json")
+    assert run("encrypt", "--in", pk, "--seed", "7", "--out", ct) == 0
+    for path, tamper in ((sk, tamper_sk), (ct, tamper_ct)):
+        if tamper is not None:
+            obj = json.loads(open(path).read())
+            tamper(obj)
+            json.dump(obj, open(path, "w"))
+    return _usage_error(capsys, "decrypt", "--in", sk, "--in", ct,
+                        "--out", str(tmp_path / "dec.json"))
+
+
+def test_decrypt_rejects_base_field_of_scrambler(tmp_path, capsys):
+    def tamper(obj):
+        obj["secret"]["P"]["q"] = 3
+
+    # seed 12: P read over F_3 is still invertible, so only the base-field
+    # check can refuse it
+    assert _decrypt_tampered(tmp_path, capsys, tamper_sk=tamper, seed=12)
+
+
+def test_decrypt_rejects_wrong_secret_matrix_shapes(tmp_path, capsys):
+    def drop_row(obj):  # S with k - 1 rows
+        S = obj["secret"]["S"]
+        S["rows"] -= 1
+        S["entries"] = S["entries"][: S["rows"] * S["cols"]]
+
+    def drop_col(obj):  # X one column short
+        X = obj["secret"]["X"]
+        c = X["cols"]
+        X["entries"] = [e for i, e in enumerate(X["entries"]) if i % c != c - 1]
+        X["cols"] = c - 1
+
+    assert _decrypt_tampered(tmp_path / "s", capsys, tamper_sk=drop_row)
+    assert _decrypt_tampered(tmp_path / "x", capsys, tamper_sk=drop_col)
+
+
+def test_decrypt_rejects_radius_above_decoding_radius(tmp_path, capsys):
+    def tamper(obj):
+        obj["params"]["t"] = 9  # the secret [20, 9] Gabidulin code decodes up to 5
+
+    assert _decrypt_tampered(tmp_path, capsys, tamper_sk=tamper)
+
+
+def test_rejects_unknown_format_version(tmp_path, capsys):
+    def tamper(obj):
+        obj["format"] = 9
+
+    assert _decrypt_tampered(tmp_path / "sk", capsys, tamper_sk=tamper)
+    assert _decrypt_tampered(tmp_path / "ct", capsys, tamper_ct=tamper)
+    (tmp_path / "pk").mkdir()
+    rc, err = _attack_tampered_key(tmp_path / "pk", capsys, tamper)
+    assert rc == 2
+    assert len(err) == 1 and json.loads(err[0])["kind"] == "usage"
+
+
+def test_attack_rejects_i_max_below_one(tmp_path, capsys):
+    pk, _ = _keygen(tmp_path)
+    ct = str(tmp_path / "ct.json")
+    assert run("encrypt", "--in", pk, "--seed", "7", "--out", ct) == 0
+    for mode, i_max in (("extension", "0"), ("extension", "-1"), ("overbeck", "0")):
+        assert _usage_error(capsys, "attack", "--in", pk, "--in", ct,
+                            "--mode", mode, "--i-max", i_max), (mode, i_max)

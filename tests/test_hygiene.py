@@ -28,3 +28,27 @@ def test_no_unreferenced_private_definitions():
                 used.add(node.name)
     unused = sorted(f"{where} {name}" for name, where in defined.items() if name not in used)
     assert not unused, "private definitions never referenced: " + ", ".join(unused)
+
+
+def test_no_unreferenced_module_imports():
+    """Every name a module imports at module level is used in that module
+    (or listed in its __all__); __future__ imports are exempt."""
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported: dict[str, int] = {}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    imported[name] = node.lineno
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for node in tree.body:  # names re-exported through __all__
+            if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                used.update(ast.literal_eval(node.value))
+        unused += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
+    assert not unused, "module-level imports never used: " + ", ".join(sorted(unused))

@@ -83,20 +83,23 @@ def test_expand_fq_system_contract(derived):
 
 
 def test_expand_fq_system_vs_enumeration():
-    # q^N small: solution sets must agree with brute force
-    ctx = field(2, 4)
+    # q^N small: solution sets must agree with brute force, and fq_kernel
+    # must return the same basis as the expanded system's right kernel
     rng = make_rng(43)
-    for _ in range(20):
-        M = MatFqm.random(ctx, 2, 5, rng)
-        A = la.expand_fq_system(M)
-        K = la.right_kernel(A)
+    cases = []
+    for ctx in (field(2, 4), field(3, 3)):
+        cases += [MatFqm.random(ctx, 2, 5, rng) for _ in range(20)] + [MatFqm(ctx, [], 5)]
+    for M in cases:
+        ctx, q = M.ctx, M.ctx.q
+        K = la.right_kernel(la.expand_fq_system(M))
+        assert la.fq_kernel(ctx, M.data, M.cols) == K
         sols = set()
-        for v in range(2**5):
-            u = [(v >> i) & 1 for i in range(5)]
+        for v in range(q**5):
+            u = [(v // q**i) % q for i in range(5)]
             img = la.mat_vec(ctx, M, u)
             if all(x == 0 for x in img):
                 sols.add(tuple(u))
-        assert len(sols) == 2**K.rows
+        assert len(sols) == q**K.rows
         for row in K.data:
             assert tuple(row) in sols
 

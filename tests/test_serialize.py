@@ -93,6 +93,10 @@ def test_malformed_inputs_rejected():
         ser.matfq_from_json({"q": 2, "rows": 1, "cols": 2, "entries": [0, 5]})
     with pytest.raises(ValueError):
         ctx.from_hex(format(ctx.order, "x"))  # out of range
+    # a message file may omit the format version but not carry another
+    assert ser.message_from_json(ctx, {"msg": ["1"]}) == [1]
+    with pytest.raises(ValueError):
+        ser.message_from_json(ctx, {"format": 9, "msg": ["1"]})
 
 
 def test_file_write_read(tmp_path):
