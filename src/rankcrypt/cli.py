@@ -214,6 +214,8 @@ def _cmd_distinguish(args) -> int:
         else:
             C = gabidulin(ctx, g, args.k)
     i_max = args.i_max if args.i_max is not None else max(1, C.n - C.k)
+    if i_max < 0:
+        raise ValueError(f"--i-max must be at least 0, got {i_max}")
     dims = dim_profile(C, i_max)
     rows = [("i", "dim")] + [(i, d) for i, d in enumerate(dims)]
     if args.out:

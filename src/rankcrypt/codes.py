@@ -201,6 +201,8 @@ def qsum(C: Code, i: int) -> Code:
 
 def dim_profile(C: Code, i_max: int) -> list[int]:
     """[dim Lambda_i(C) for i = 0..i_max]; constant n once saturated."""
+    if i_max < 0:
+        raise ValueError("i_max must be >= 0")
     dims = [ech.rank for ech in itertools.islice(_qsum_echelon(C), i_max + 1)]
     return dims + [C.n] * (i_max + 1 - len(dims))
 

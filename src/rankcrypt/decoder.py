@@ -6,9 +6,14 @@ linearized polynomial P of q-degree <= t with H_t P(y)^T = 0, H_t a parity
 check of Lambda_t(C); any such P annihilates the error when the radius
 condition dim Lambda_t(C) + t <= n holds.  Step 2 writes the error with
 coordinates confined to ker(P) and solves the resulting F_q system against
-the parity check of C.  What the pair of steps actually decodes is the
-t-closure of C; for Gabidulin codes and radii below (n-k)/2 that closure
-is C itself.
+the parity check H of C (at q=2 bit-packed straight into the F_2 solver).
+What the pair of steps actually decodes is the t-closure of C; for
+Gabidulin codes and radii below (n-k)/2 that closure is C itself.
+
+decode(C, y, t) is prepare(C, t).decode(y): prepare computes H and H_t,
+which depend on C and t only, and PreparedCode.decode runs both steps on
+one word.  A caller that decodes many words in one code, such as a GPT
+secret key, prepares it once.
 
 brute_force_decode() enumerates every candidate support (an r-dimensional
 F_q-subspace of F_{q^m}, r <= t) in a fixed order and solves for an error
@@ -54,41 +59,57 @@ def max_radius(C: Code) -> int:
     return best
 
 
+@dataclass(frozen=True)
+class PreparedCode:
+    """A code made ready for decoding at radius t: everything decode()
+    derives from the generator matrix alone, H a parity check of C and
+    Ht one of Lambda_t(C)."""
+
+    C: Code
+    t: int
+    H: MatFqm
+    Ht: MatFqm
+
+    def decode(self, y: list[int], retry_all: bool = False) -> DecodeResult:
+        """Decode y against C at rank radius t; see decode()."""
+        ctx, n, t, H = self.C.ctx, self.C.n, self.t, self.H
+        if len(y) != n:
+            raise ValueError("length mismatch")
+        syndrome = la.mat_vec(ctx, H, y)
+
+        # step 1: H_t P(y)^T = 0 is F_{q^m}-linear in the coefficients of P
+        shifts = [list(y)]
+        for _ in range(t):
+            shifts.append(ctx.frob_row(shifts[-1]))
+        A = self.Ht @ MatFqm(ctx, shifts, n).transpose()
+        pkernel = la.right_kernel(A)
+        if pkernel.rows == 0:
+            return DecodeResult("no_annihilator")
+
+        for pcoeffs in pkernel.data if retry_all else pkernel.data[:1]:
+            hit = _error_over_kernel(ctx, H, y, syndrome, LinPoly(ctx, pcoeffs))
+            if hit is not None:
+                return DecodeResult("decoded", *hit)
+        return DecodeResult("no_error_solution")
+
+
+def prepare(C: Code, t: int) -> PreparedCode:
+    """The parity checks decode() needs for C at radius t."""
+    if t < 1:
+        raise ValueError("radius must be >= 1")
+    Ht = la.right_kernel(qsum(C, t).gen)
+    return PreparedCode(C, t, la.right_kernel(C.gen), Ht)
+
+
 def decode(C: Code, y: list[int], t: int, retry_all: bool = False) -> DecodeResult:
-    """Decode y against C at rank radius t.
+    """Decode y against C at rank radius t: prepare(C, t).decode(y).
 
     Returns no_annihilator when step 1 admits only P = 0 and
     no_error_solution when no error over ker(P) matches the syndrome;
     retry_all retries step 2 over the whole step-1 kernel basis instead of
     just its first vector.
     """
-    ctx, n = C.ctx, C.n
-    if len(y) != n:
-        raise ValueError("length mismatch")
-    if t < 1:
-        raise ValueError("radius must be >= 1")
-    Ht = la.right_kernel(qsum(C, t).gen)
-    H = la.right_kernel(C.gen)
-    syndrome = la.mat_vec(ctx, H, y)
-
-    # step 1: H_t P(y)^T = 0 is F_{q^m}-linear in the coefficients of P
-    shifts = [list(y)]
-    for _ in range(t):
-        shifts.append(ctx.frob_row(shifts[-1]))
-    A = MatFqm(
-        ctx,
-        [[la.dot(ctx, hrow, shifts[i]) for i in range(t + 1)] for hrow in Ht.data],
-        t + 1,
-    )
-    pkernel = la.right_kernel(A)
-    if pkernel.rows == 0:
-        return DecodeResult("no_annihilator")
-
-    for pcoeffs in pkernel.data if retry_all else pkernel.data[:1]:
-        hit = _error_over_kernel(ctx, H, y, syndrome, LinPoly(ctx, pcoeffs))
-        if hit is not None:
-            return DecodeResult("decoded", *hit)
-    return DecodeResult("no_error_solution")
+    return prepare(C, t).decode(y, retry_all)
 
 
 def _error_over_kernel(ctx, H, y, syndrome, P):
@@ -106,18 +127,19 @@ def _error_over_kernel(ctx, H, y, syndrome, P):
 
 def _error_over_support(ctx, H, syndrome, kappa, n):
     """Error e of length n with every e_i in span_Fq(kappa) and
-    H e^T = syndrome, free variables zero; None if there is none."""
+    H e^T = syndrome, free variables zero; None if there is none.
+
+    Unknown c*r + rho is the F_q coefficient of kappa[rho] in e_c."""
+    r = len(kappa)
     rows = []
     for hrow in H.data:
-        row = []
-        for a in hrow:
-            row.extend(ctx.mul(a, kp) if a else 0 for kp in kappa)
+        row = [0] * (n * r)
+        for rho, kp in enumerate(kappa):
+            row[rho::r] = ctx.mul_row(kp, hrow)
         rows.append(row)
-    A, b = la.expand_fq_system(MatFqm(ctx, rows, n * len(kappa)), syndrome)
-    x = la.solve_fq(A, b)
+    x = la.fq_solve(ctx, rows, syndrome, n * r)
     if x is None:
         return None
-    r = len(kappa)
     e = []
     for c in range(n):
         acc = 0

@@ -8,6 +8,14 @@ adds an error of rank exactly t to m G_pub; decryption undoes P, strips
 the lambda distortion coordinates, and decodes the remaining n coordinates
 in the secret code.
 
+Everything decryption derives from the secret key alone is its decryption
+plan (GptSecretKey.plan): P^-1, the secret code prepared for decoding at
+radius t (its parity checks H and H_t, see decoder.prepare), S G_sec, and
+the matrix that reads the message off k columns of a codeword.  The plan
+is built on the first decrypt and reused by every later one; it is not
+part of the key's fields, so it is never serialized, and a key read back
+from JSON builds the same plan on its own first decrypt.
+
 The error radius t defaults to the measured decoding radius of the sampled
 secret code: floor((n-k)/2) for Gabidulin, and whatever the q-sum dimension
 condition yields for twisted codes.
@@ -15,11 +23,12 @@ condition yields for twisted codes.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 
 from . import linalg as la
 from .codes import Code, TwistParams, moore_matrix, prw_parameters, twisted_moore_matrix
-from .decoder import decode, max_radius
+from .decoder import PreparedCode, max_radius, prepare
 from .fields import FieldCtx
 from .linalg import MatFq, MatFqm
 
@@ -58,7 +67,22 @@ class GptParams:
             raise ValueError("error rank t must be >= 1")
 
 
-@dataclass
+@dataclass(frozen=True)
+class DecryptPlan:
+    """What decrypt derives from a secret key alone.
+
+    The message of a codeword cw is the m with m S G_sec = cw, if any; it
+    is read off k columns as m = cw[cols] readout and then checked by
+    re-encoding."""
+
+    P_inv: MatFq
+    code: PreparedCode  # the secret code at radius t
+    SG: MatFqm  # S G_sec
+    cols: list[int]  # k columns where S G_sec is invertible
+    readout: MatFqm  # the inverse of S G_sec on those columns
+
+
+@dataclass(frozen=True)
 class GptSecretKey:
     params: GptParams
     g: list[int]
@@ -73,6 +97,22 @@ class GptSecretKey:
         if self.tw is not None and self.tw.ell:
             return twisted_moore_matrix(ctx, self.g, k, self.tw)
         return moore_matrix(ctx, self.g, k)
+
+    @functools.cached_property
+    def plan(self) -> DecryptPlan:
+        """The decryption plan, built on first use (frozen fields keep it
+        current)."""
+        ctx, k = self.params.ctx, self.params.k
+        G_sec = self.G_sec
+        C = Code(G_sec)
+        if C.k != k:
+            raise ValueError(f"secret generator has rank {C.k}, expected {k}")
+        SG = self.S @ G_sec
+        # S G_sec restricted to the pivot columns of C's echelon form is invertible
+        cols = [next(j for j, a in enumerate(row) if a) for row in C.gen.data]
+        block = MatFqm(ctx, [[row[j] for j in cols] for row in SG.data], k)
+        readout = la.solve_left(block, MatFqm.identity(ctx, k))
+        return DecryptPlan(self.P.inverse(), prepare(C, self.params.t), SG, cols, readout)
 
 
 @dataclass
@@ -137,12 +177,13 @@ def decrypt(sk: GptSecretKey, c: list[int]) -> list[int]:
     ctx, lam = params.ctx, params.lam
     if len(c) != params.n + lam:
         raise ValueError("ciphertext length mismatch")
-    y = la.vec_mat(ctx, c, sk.P.inverse())[lam:]
-    G_sec = sk.G_sec
-    res = decode(Code(G_sec), y, params.t, retry_all=True)
+    plan = sk.plan
+    y = la.vec_mat(ctx, c, plan.P_inv)[lam:]
+    res = plan.code.decode(y, retry_all=True)
     if not res.ok:
         raise DecryptError(res.status)
-    sol = la.solve_left(sk.S @ G_sec, MatFqm(ctx, [res.codeword]))
-    if sol is None:
+    cw = res.codeword
+    msg = la.vec_mat(ctx, [cw[j] for j in plan.cols], plan.readout)
+    if la.vec_mat(ctx, msg, plan.SG) != cw:
         raise DecryptError("codeword_outside_secret_code")
-    return sol.data[0]
+    return msg

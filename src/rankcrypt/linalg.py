@@ -12,9 +12,9 @@ form of a generator matrix.  Equality of spaces is equality of canonical
 forms; intersections go through duals, (A cap B)-perp = A-perp + B-perp.
 
 The module also provides the bridge from F_{q^m}-linear constraints on
-F_q-valued unknowns to plain F_q systems (expand_fq_system) and to their
-F_q kernel (fq_kernel), rank-metric weights (rank_fq), and the random
-samplers used by key generation.
+F_q-valued unknowns to plain F_q systems (expand_fq_system), to their F_q
+kernel (fq_kernel) and to one of their solutions (fq_solve), rank-metric
+weights (rank_fq), and the random samplers used by key generation.
 """
 
 from __future__ import annotations
@@ -572,30 +572,58 @@ def fq_kernel(ctx: FieldCtx, rows, width: int) -> MatFq:
     """
     if ctx.q != 2:
         return right_kernel(expand_fq_system(MatFqm(ctx, list(rows), width)))
-    m, nbytes = ctx.m, (ctx.m + 7) // 8
     ech = _BitEchelon(width)
     for row in rows:
-        buf = b"".join(a.to_bytes(nbytes, "little") for a in row)
-        arr = np.frombuffer(buf, dtype=np.uint8).reshape(width, nbytes)
-        bits = np.unpackbits(arr, axis=1, bitorder="little")[:, :m]
-        # bit-row t holds coefficient t of every entry
-        for packed in np.packbits(bits.T, axis=1, bitorder="little"):
-            ech.add(int.from_bytes(packed.tobytes(), "little"))
+        for bits in _bit_rows(ctx, row):
+            ech.add(bits)
     return MatFq(2, [[(v >> j) & 1 for j in range(width)] for v in ech.kernel_basis()], width)
+
+
+def fq_solve(ctx: FieldCtx, rows: list[list[int]], rhs: list[int], width: int):
+    """One x in F_q^width with sum_j r_j x_j = s for every F_{q^m} row r and
+    its right-hand side s, or None; equal to
+    solve_fq(*expand_fq_system(MatFqm(ctx, rows, width), rhs)).
+
+    At q=2 the bit-rows go straight to the F_2 solver, in the order
+    expand_fq_system emits them, with the right-hand side bit at position
+    width.
+    """
+    if ctx.q != 2:
+        return solve_fq(*expand_fq_system(MatFqm(ctx, rows, width), rhs))
+    if len(rhs) != len(rows):
+        raise ValueError("rhs length mismatch")
+    return _solve_bits(
+        (
+            bits | (s >> t & 1) << width
+            for row, s in zip(rows, rhs)
+            for t, bits in enumerate(_bit_rows(ctx, row))
+        ),
+        width,
+    )
+
+
+def _bit_rows(ctx: FieldCtx, row: list[int]) -> list[int]:
+    """q=2: the m coefficient bit-rows of an F_{2^m} row, bit-row t holding
+    coefficient t of every entry (bit j = entry j)."""
+    m, nbytes = ctx.m, (ctx.m + 7) // 8
+    buf = b"".join(a.to_bytes(nbytes, "little") for a in row)
+    arr = np.frombuffer(buf, dtype=np.uint8).reshape(len(row), nbytes)
+    bits = np.unpackbits(arr, axis=1, bitorder="little")[:, :m]
+    return [
+        int.from_bytes(packed.tobytes(), "little")
+        for packed in np.packbits(bits.T, axis=1, bitorder="little")
+    ]
 
 
 def solve_fq(A: MatFq, b: list[int]) -> list[int] | None:
     """One solution of A x = b over F_q, or None if inconsistent.
 
-    Deterministic: free variables are set to zero.
+    Deterministic: free variables are set to zero.  Plain RREF for every q;
+    F_{q^m}-linear systems go through fq_solve, which is bit-packed at q=2.
     """
     if len(b) != A.rows:
         raise ValueError("shape mismatch")
     q = A.q
-    if q == 2:
-        return _solve_bits(
-            (_pack_bits(r) | (bb & 1) << A.cols for r, bb in zip(A.data, b)), A.cols
-        )
     aug = [list(r) + [bb % q] for r, bb in zip(A.data, b)]
     _rref_rows_fq(aug, q, A.cols + 1)
     pivs = _pivot_cols(aug, A.cols + 1)
@@ -607,14 +635,6 @@ def solve_fq(A: MatFq, b: list[int]) -> list[int] | None:
     return x
 
 
-def _pack_bits(row: list[int]) -> int:
-    v = 0
-    for j, e in enumerate(row):
-        if e & 1:
-            v |= 1 << j
-    return v
-
-
 def _solve_bits(rows, cols: int) -> list[int] | None:
     """F_2 solve of rows packed as ints with the right-hand side at bit
     position `cols`; None if inconsistent, free variables zero."""
@@ -623,10 +643,13 @@ def _solve_bits(rows, cols: int) -> list[int] | None:
         ech.add(r)
     if cols in ech.pivots:
         return None  # a row reduced to 0 = 1
-    x = [0] * cols
-    for j in ech.reduce():
-        x[j] = (ech.pivots[j] >> cols) & 1
-    return x
+    # back-substitute from the last pivot: x_j = b_j + sum of the later x
+    # that row j touches; free variables stay zero
+    x = 0
+    for j in sorted(ech.pivots, reverse=True):
+        row = ech.pivots[j]
+        x |= (((row >> cols) ^ (row & x).bit_count()) & 1) << j
+    return [(x >> j) & 1 for j in range(cols)]
 
 
 def solve_left(A: MatFqm, B: MatFqm) -> MatFqm | None:

@@ -13,7 +13,7 @@ reported as -1.
 from __future__ import annotations
 
 from .fields import FieldCtx
-from .linalg import MatFq, right_kernel
+from .linalg import fq_kernel
 
 
 class LinPoly:
@@ -108,17 +108,15 @@ class LinPoly:
         """F_q-basis of {x in F_{q^m} : F(x) = 0}, as field elements.
 
         Built from the m x m matrix of the induced endomorphism in the
-        polynomial basis; dim <= qdeg for nonzero F.
+        polynomial basis (column j = coefficients of F(x^j)); dim <= qdeg
+        for nonzero F.
         """
         ctx = self.ctx
         m = ctx.m
+        units = [ctx.encode([int(i == j) for i in range(m)]) for j in range(m)]
         if self.is_zero():
-            return [ctx.encode([int(i == j) for i in range(m)]) for j in range(m)]
-        # column j = coefficients of F(x^j)
-        images = [ctx.coeffs(self.evaluate(ctx.encode([int(i == j) for i in range(m)])))
-                  for j in range(m)]
-        M = MatFq(ctx.q, [[images[j][t] for j in range(m)] for t in range(m)], m)
-        return [ctx.encode(row) for row in right_kernel(M).data]
+            return units
+        return [ctx.encode(row) for row in fq_kernel(ctx, [self.evaluate_vec(units)], m).data]
 
     def __eq__(self, other) -> bool:
         return (

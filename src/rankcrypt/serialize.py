@@ -4,10 +4,15 @@ All F_{q^m} elements travel as lowercase hex strings of the packed integer
 encoding; base-field matrices as plain integer lists.  Matrices are stored
 row-major under {"rows", "cols", "entries"}.  Public key exports never
 contain secret fields.
+
+Every reader raises ValueError on malformed input: a wrong format version,
+a missing key, a value of the wrong JSON type, or a value that fails the
+checks below.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from pathlib import Path
 
@@ -20,6 +25,19 @@ from .gpt import GptParams, GptPublicKey, GptSecretKey
 from .linalg import MatFq, MatFqm
 
 FORMAT_VERSION = 1
+
+
+def _reader(fn):
+    """Report a missing key or a value of the wrong JSON type as ValueError."""
+
+    @functools.wraps(fn)
+    def read(*args):
+        try:
+            return fn(*args)
+        except (KeyError, TypeError, AttributeError, IndexError) as ex:
+            raise ValueError(f"malformed input: {type(ex).__name__}: {ex}") from ex
+
+    return read
 
 
 def _check_format(obj: dict) -> None:
@@ -108,6 +126,7 @@ def code_to_json(C: Code) -> dict:
     }
 
 
+@_reader
 def code_from_json(obj: dict) -> Code:
     ctx = field_from_json(obj["field"])
     n, k = int(obj["n"]), int(obj["k"])
@@ -133,6 +152,7 @@ def params_to_json(p: GptParams) -> dict:
     }
 
 
+@_reader
 def params_from_json(obj: dict) -> GptParams:
     ctx = field_from_json(obj["field"])
     t = obj.get("t")
@@ -165,6 +185,7 @@ def secret_key_to_json(sk: GptSecretKey) -> dict:
     }
 
 
+@_reader
 def secret_key_from_json(obj: dict) -> GptSecretKey:
     """Read a secret key, checking the shapes keygen produces: S is k x k,
     X is k x lambda, P is invertible of size n + lambda over F_q, g has n
@@ -207,6 +228,7 @@ def public_key_to_json(pk: GptPublicKey) -> dict:
     }
 
 
+@_reader
 def public_key_from_json(obj: dict) -> GptPublicKey:
     _check_format(obj)
     params = params_from_json(obj["params"])
@@ -219,6 +241,7 @@ def ciphertext_to_json(ctx: FieldCtx, c: list[int]) -> dict:
     return {"format": FORMAT_VERSION, "c": vec_to_json(ctx, c)}
 
 
+@_reader
 def ciphertext_from_json(ctx: FieldCtx, obj: dict) -> list[int]:
     _check_format(obj)
     return vec_from_json(ctx, obj["c"])
@@ -228,6 +251,7 @@ def message_to_json(ctx: FieldCtx, msg: list[int]) -> dict:
     return {"format": FORMAT_VERSION, "msg": vec_to_json(ctx, msg)}
 
 
+@_reader
 def message_from_json(ctx: FieldCtx, obj: dict) -> list[int]:
     if "format" in obj:  # hand-written message files may leave it out
         _check_format(obj)

@@ -233,3 +233,12 @@ def test_attack_rejects_i_max_below_one(tmp_path, capsys):
     for mode, i_max in (("extension", "0"), ("extension", "-1"), ("overbeck", "0")):
         assert _usage_error(capsys, "attack", "--in", pk, "--in", ct,
                             "--mode", mode, "--i-max", i_max), (mode, i_max)
+
+
+def test_distinguish_rejects_negative_i_max(capsys):
+    capsys.readouterr()
+    rc = run("distinguish", "--q", "2", "--m", "16", "--n", "10", "--k", "4", "--i-max", "-2")
+    err = capsys.readouterr().err.strip().splitlines()
+    assert rc == 2 and len(err) == 1
+    obj = json.loads(err[0])
+    assert obj["kind"] == "usage" and "--i-max" in obj["error"]

@@ -69,6 +69,14 @@ def test_gabidulin_min_distance_exhaustive(derived):
     assert best == derived["gabidulin_4_2_f16_min_distance"] == C.n - C.k + 1
 
 
+def test_dim_profile_rejects_negative_i_max():
+    ctx = field(2, 16)
+    _, C = _rand_gab(ctx, 14, 5, make_rng(211))
+    assert dim_profile(C, 0) == [5]
+    with pytest.raises(ValueError):
+        dim_profile(C, -1)
+
+
 def test_gabidulin_lambda_law():
     ctx = field(2, 16)
     for seed in range(10):

@@ -5,11 +5,13 @@ import pytest
 from rankcrypt import linalg as la
 from rankcrypt.codes import Code, gabidulin, prw_parameters, random_code, twisted_gabidulin
 from rankcrypt.decoder import (
+    _error_over_support,
+    _subspace_bases,
     brute_force_decode,
     decode,
     gaussian_binomial,
     max_radius,
-    _subspace_bases,
+    prepare,
 )
 from rankcrypt.fields import field
 from rankcrypt.linalg import MatFqm
@@ -177,3 +179,65 @@ def test_retry_all_never_worse():
         retry = decode(C, y, 4, retry_all=True)
         if plain.ok:
             assert retry.ok and retry.codeword == plain.codeword
+
+
+def _error_over_support_expanded(ctx, H, syndrome, kappa, n):
+    """Step 2 through the expanded MatFq system: the reference for the
+    bit-packed q=2 path."""
+    rows = []
+    for hrow in H.data:
+        row = []
+        for a in hrow:
+            row.extend(ctx.mul(a, kp) if a else 0 for kp in kappa)
+        rows.append(row)
+    A, b = la.expand_fq_system(MatFqm(ctx, rows, n * len(kappa)), syndrome)
+    x = la.solve_fq(A, b)
+    if x is None:
+        return None
+    r = len(kappa)
+    return [
+        la.dot(ctx, x[c * r : (c + 1) * r], kappa) for c in range(n)
+    ]
+
+
+@pytest.mark.parametrize("m", [16, 28, 40])
+def test_packed_step_two_matches_expanded_system(m):
+    ctx = field(2, m)
+    n, k, t = 14, 6, 4
+    outcomes = set()
+    for seed in range(12):
+        rng = derive_rng(313, m * 100 + seed)
+        # a parity check with an identity block, like right_kernel gives,
+        # or a dense random one
+        C = random_code(ctx, n, k, rng)
+        H = la.right_kernel(C.gen) if seed % 2 else MatFqm.random(ctx, n - k, n, rng)
+        r = 1 + seed % t
+        kappa = la.random_independent_vec(ctx, r, rng)
+        if seed % 3:
+            coeffs = [[int(rng.integers(0, 2)) for _ in range(r)] for _ in range(n)]
+            e = [la.dot(ctx, cs, kappa) for cs in coeffs]
+            syndrome = la.mat_vec(ctx, H, e)
+        else:
+            syndrome = [ctx.random(rng) for _ in range(n - k)]
+        got = _error_over_support(ctx, H, syndrome, kappa, n)
+        assert got == _error_over_support_expanded(ctx, H, syndrome, kappa, n)
+        if got is not None:
+            assert la.mat_vec(ctx, H, got) == syndrome
+        outcomes.add(got is None)
+    assert outcomes == {True, False}
+
+
+def test_prepared_code_decodes_like_decode():
+    ctx = field(2, 20)
+    rng = make_rng(314)
+    C = gabidulin(ctx, la.random_independent_vec(ctx, 14, rng), 6)
+    P = prepare(C, 4)
+    for t in (2, 4, 5):
+        for _ in range(3):
+            _, _, y = _planted(ctx, C, t, rng)
+            for retry_all in (False, True):
+                assert P.decode(y, retry_all) == decode(C, y, 4, retry_all)
+    with pytest.raises(ValueError):
+        prepare(C, 0)
+    with pytest.raises(ValueError):
+        P.decode([0] * 13)

@@ -1,9 +1,14 @@
-"""GPT scheme: keygen invariants, round trips, failure propagation."""
+"""GPT scheme: keygen invariants, round trips, failure propagation, the
+per-key decryption plan."""
+
+import dataclasses
 
 import pytest
 
 from rankcrypt import linalg as la
-from rankcrypt.codes import Code, qsum
+from rankcrypt import serialize as ser
+from rankcrypt.codes import Code, moore_matrix, qsum
+from rankcrypt.decoder import prepare
 from rankcrypt.fields import field
 from rankcrypt.gpt import DecryptError, GptParams, decrypt, encrypt, keygen
 from rankcrypt.linalg import MatFqm
@@ -138,3 +143,100 @@ def test_params_validation():
         GptParams(ctx, n=20, k=8, lam=4, s=0).validate()
     with pytest.raises(ValueError):
         GptParams(ctx, n=20, k=20, lam=4, s=2).validate()  # k = n
+
+
+def _outcome(sk, c):
+    try:
+        return decrypt(sk, c)
+    except DecryptError as ex:
+        return ex.status
+
+
+@pytest.mark.parametrize(
+    "q, m, n, k, lam, s, inst, ell",
+    [
+        (2, 24, 20, 8, 4, 2, "gabidulin", 0),
+        (2, 32, 26, 18, 3, 1, "twisted", 2),
+        (3, 12, 10, 4, 2, 1, "gabidulin", 0),
+    ],
+    ids=["q2-gabidulin", "q2-twisted", "q3"],
+)
+def test_plan_reuse_matches_fresh_key(q, m, n, k, lam, s, inst, ell):
+    ctx = field(q, m)
+    params = GptParams(ctx, n=n, k=k, lam=lam, s=s, instantiation=inst, ell=ell)
+    rng = make_rng(411)
+    sk, pk = keygen(params, rng)
+    blob = ser.secret_key_to_json(sk)
+    msgs = [[ctx.random(rng) for _ in range(k)] for _ in range(8)]
+    cts = [encrypt(pk, msg, rng) for msg in msgs]
+    warm = [_outcome(sk, c) for c in cts]  # the first call builds the plan
+    assert "plan" in vars(sk)
+    for c, got in zip(cts, warm):
+        fresh = ser.secret_key_from_json(blob)
+        assert "plan" not in vars(fresh)
+        assert _outcome(fresh, c) == got
+    assert sum(got == msg for got, msg in zip(warm, msgs)) >= 7
+
+
+def test_plan_keeps_rejecting_errors_above_radius():
+    ctx = field(2, 24)
+    rng = make_rng(412)
+    sk, pk = keygen(_gab_params(ctx), rng)
+    msg = [ctx.random(rng) for _ in range(8)]
+    assert decrypt(sk, encrypt(pk, msg, rng)) == msg
+    assert "plan" in vars(sk)
+    e = la.random_vec_rank(ctx, 24, 12, rng)
+    y = [ctx.add(a, b) for a, b in zip(la.vec_mat(ctx, msg, pk.G_pub), e)]
+    with pytest.raises(DecryptError):
+        decrypt(sk, y)
+    assert decrypt(sk, encrypt(pk, msg, rng)) == msg
+
+
+def test_plan_is_not_serialized_and_key_is_frozen():
+    ctx = field(2, 24)
+    rng = make_rng(413)
+    sk, pk = keygen(_gab_params(ctx), rng)
+    before = ser.secret_key_to_json(sk)
+    msg = [ctx.random(rng) for _ in range(8)]
+    assert decrypt(sk, encrypt(pk, msg, rng)) == msg
+    assert "plan" in vars(sk)
+    assert ser.secret_key_to_json(sk) == before
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        sk.S = sk.S
+
+
+def test_plan_readout_matches_solve_left():
+    # the plan's message readout plus re-encoding check answers exactly
+    # what solve_left(S G_sec, w) answers, for codewords and for junk
+    ctx = field(2, 24)
+    rng = make_rng(414)
+    sk, _ = keygen(_gab_params(ctx), rng)
+    plan = sk.plan
+    assert plan.SG == sk.S @ sk.G_sec
+    for trial in range(10):
+        if trial % 2:
+            w = [ctx.random(rng) for _ in range(20)]
+        else:
+            w = la.vec_mat(ctx, [ctx.random(rng) for _ in range(8)], plan.SG)
+        sol = la.solve_left(plan.SG, MatFqm(ctx, [w]))
+        msg = la.vec_mat(ctx, [w[j] for j in plan.cols], plan.readout)
+        if sol is None:
+            assert la.vec_mat(ctx, msg, plan.SG) != w
+        else:
+            assert msg == sol.data[0] and la.vec_mat(ctx, msg, plan.SG) == w
+
+
+def test_decrypt_refuses_codeword_outside_secret_code():
+    # swap the plan's decoder for one of the [20, 9] Gabidulin code on the
+    # same g, which contains the secret [20, 8] code: a word of the larger
+    # code decodes, but no message encrypts to it
+    ctx = field(2, 24)
+    rng = make_rng(415)
+    sk, _ = keygen(_gab_params(ctx), rng)
+    larger = prepare(Code(moore_matrix(ctx, sk.g, 9)), 1)
+    sk.__dict__["plan"] = dataclasses.replace(sk.plan, code=larger)
+    w = la.vec_mat(ctx, [0] * 8 + [1], larger.C.gen)
+    c = la.vec_mat(ctx, [ctx.random(rng) for _ in range(4)] + w, sk.P)
+    with pytest.raises(DecryptError) as ex:
+        decrypt(sk, c)
+    assert ex.value.status == "codeword_outside_secret_code"
