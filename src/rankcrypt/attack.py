@@ -14,9 +14,17 @@ Three layers:
     has dimension 2, and the rank-n idempotent F it contains projects the
     public code onto a decodable image with the distortion wiped out.
 
-The stabilizer is the kernel of G M H^T = 0 over F_q: k(N-k)m equations in
-N^2 unknowns after coordinate expansion.  The system is solved in full by
-linalg.fq_kernel, for every q, so the basis is exact by construction.
+The stabilizer is the kernel of G M H^T = 0 over F_q: k'(N-k')m equations
+in N^2 unknowns after coordinate expansion, for an [N, k'] code.  At odd q
+the full system goes to linalg.fq_kernel.  At q=2 most of those rows are
+redundant, so the kernel is first taken of ceil(N^2/m) seeded rank-one
+probes (uG) (x) (vH), m rows each, drawn from a fixed stream; their rows are
+F_2 combinations of the full system's, so that kernel contains the
+stabilizer.  Every candidate in it is then checked exactly against
+G M H^T = 0, through the identity blocks of G and H; a candidate that fails
+names a violated pair (a, b), whose rows g_a (x) h_b are added, which
+removes at least one kernel dimension.  When every candidate passes, the
+kernel is the full system's, and so is its canonical basis.
 
 Nothing here reads secret keys.  Success is verified publicly: the
 recovered message must re-encode to within rank t of the ciphertext.
@@ -34,6 +42,7 @@ from .codes import Code, qsum
 from .decoder import decode
 from .gpt import GptPublicKey
 from .linalg import MatFq, MatFqm
+from .rng import make_rng
 
 
 class AttackError(RuntimeError):
@@ -44,6 +53,7 @@ class AttackError(RuntimeError):
 class StabilizerAlgebra:
     n_total: int
     basis: list[MatFq]
+    rows_fed: int = 0  # F_q rows fed to the kernel solver (not serialized)
 
     @property
     def dim(self) -> int:
@@ -65,24 +75,120 @@ class AttackReport:
 # -- stabilizer computation -------------------------------------------------
 
 
+# The q=2 probes are drawn from this stream, afresh for every stabilizer.
+_PROBE_SEED = 0x5AB1
+
+
 def stabilizer(C: Code) -> StabilizerAlgebra:
     """Right stabilizer Stab_r(C) = {M over F_q : C M <= C}: the F_q kernel
     of G M H^T = 0, one F_{q^m} constraint g_a (x) h_b per row pair of G and
-    H, on the entries of M in row-major order."""
+    H, on the entries of M in row-major order.
+
+    At odd q every pair is fed to linalg.fq_kernel: there, checking the
+    candidates of a probed system costs more than the full system.  At q=2
+    the kernel of ceil(N^2/m) rank-one probes (uG) (x) (vH), u and v dense
+    and drawn from the _PROBE_SEED stream, is checked candidate by
+    candidate against G M H^T = 0, and each violated pair (a, b) adds the
+    rows of g_a (x) h_b until every candidate passes.  Both ways the basis
+    is the full system's canonical kernel basis (one vector per free
+    column, in column order); rows_fed counts the F_q rows fed.
+    """
     ctx, N = C.ctx, C.n
     G = C.gen
     H = la.right_kernel(G)
-    mul = ctx.mul
-    rows = (
-        [mul(gu, hv) if gu and hv else 0 for gu in ga for hv in hb]
-        for ga in G.data
-        for hb in H.data
-    )
-    basis = [
-        MatFq(ctx.q, [vec[u * N : (u + 1) * N] for u in range(N)], N)
-        for vec in la.fq_kernel(ctx, rows, N * N).data
-    ]
-    return StabilizerAlgebra(N, basis)
+    if ctx.q == 2:
+        vecs, rows_fed = _kernel_by_probes(ctx, G, H)
+    else:
+        mul = ctx.mul
+        rows = (
+            [mul(gu, hv) if gu and hv else 0 for gu in ga for hv in hb]
+            for ga in G.data
+            for hb in H.data
+        )
+        vecs = la.fq_kernel(ctx, rows, N * N).data
+        rows_fed = G.rows * H.rows * ctx.m
+    basis = [MatFq(ctx.q, [vec[u * N : (u + 1) * N] for u in range(N)], N) for vec in vecs]
+    return StabilizerAlgebra(N, basis, rows_fed)
+
+
+def _pair_row(ctx, x: list[int], y: list[int]) -> list[int]:
+    """x (x) y: entry u len(y) + v is x_u y_v."""
+    return [p for xu in x for p in ctx.mul_row(xu, y)]
+
+
+def _kernel_by_probes(ctx, G: MatFqm, H: MatFqm) -> tuple[list[list[int]], int]:
+    """q=2: the kernel vectors of G M H^T = 0 and the number of F_2 rows fed."""
+    N, m = G.cols, ctx.m
+    ech = la._BitEchelon(N * N)
+    fed = 0
+
+    def feed(row):
+        nonlocal fed
+        for bits in la._bit_rows(ctx, row):
+            ech.add(bits)
+        fed += m
+
+    if G.rows and H.rows:
+        rng = make_rng(_PROBE_SEED)
+        for _ in range(-(-N * N // m)):
+            x = la.vec_mat(ctx, [ctx.random(rng) for _ in range(G.rows)], G)
+            y = la.vec_mat(ctx, [ctx.random(rng) for _ in range(H.rows)], H)
+            feed(_pair_row(ctx, x, y))
+    violation = _violation_finder(ctx, G, H)
+    while True:
+        kernel = ech.kernel_basis()
+        pairs = {pair for v in kernel if (pair := violation(v)) is not None}
+        if not pairs:
+            return [[(v >> j) & 1 for j in range(N * N)] for v in kernel], fed
+        for a, b in sorted(pairs):
+            feed(_pair_row(ctx, G.data[a], H.data[b]))
+
+
+def _violation_finder(ctx, G: MatFqm, H: MatFqm):
+    """q=2: a function taking M over F_2, packed as bit u N + v = M[u][v],
+    to the first pair (a, b) with g_a M h_b^T != 0, or to None.
+
+    G is in reduced echelon form and H = right_kernel(G), so G has the
+    identity at its pivot columns and H at the others.  With L the one of
+    the two with fewer columns outside its identity block and R the other,
+    L M' R^T (M' = M or M^T) is Y at the identity columns plus the rest of L
+    times Y, where Y = M' R^T is a sum of columns of R: about
+    k'(N-k') min(k', N-k') products for a [N, k'] code.  Columns of R are
+    packed m bits per entry, so each term of that sum is one XOR.
+    """
+    N, m = G.cols, ctx.m
+    mask = (1 << m) - 1
+    pivots = [next(j for j, a in enumerate(row) if a) for row in G.data]
+    free = sorted(set(range(N)) - set(pivots))
+    direct = H.rows <= G.rows  # L = G, else L = H and M' = M^T
+    L, R, ident, rest = (G, H, pivots, free) if direct else (H, G, free, pivots)
+    width = R.rows
+    Rcols = [sum(r[j] << (i * m) for i, r in enumerate(R.data)) for j in range(N)]
+
+    def unpack(packed):
+        return [(packed >> (i * m)) & mask for i in range(width)]
+
+    def violation(v: int):
+        Y = [0] * N
+        while v:
+            low = v & -v
+            u, w = divmod(low.bit_length() - 1, N)
+            if direct:
+                Y[u] ^= Rcols[w]
+            else:
+                Y[w] ^= Rcols[u]
+            v ^= low
+        Yrest = [unpack(Y[j]) for j in rest]
+        for a, row in enumerate(L.data):
+            acc = unpack(Y[ident[a]])
+            for j, yj in zip(rest, Yrest):
+                ctx.mac_row(acc, row[j], yj)
+            b = next((b for b, e in enumerate(acc) if e), None)
+            if b is not None:
+                return (a, b) if direct else (b, a)
+        return None
+
+    return violation
 
 
 # -- idempotent extraction --------------------------------------------------

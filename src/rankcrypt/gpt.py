@@ -10,11 +10,13 @@ in the secret code.
 
 Everything decryption derives from the secret key alone is its decryption
 plan (GptSecretKey.plan): P^-1, the secret code prepared for decoding at
-radius t (its parity checks H and H_t, see decoder.prepare), S G_sec, and
-the matrix that reads the message off k columns of a codeword.  The plan
-is built on the first decrypt and reused by every later one; it is not
-part of the key's fields, so it is never serialized, and a key read back
-from JSON builds the same plan on its own first decrypt.
+radius t (GptSecretKey.code: its parity checks H and H_t, see
+decoder.prepare), S G_sec, and the matrix that reads the message off k
+columns of a codeword.  The plan is built on the first decrypt and reused
+by every later one; it is not part of the key's fields, so it is never
+serialized, and a key read back from JSON builds the same plan on its own
+first decrypt.  The key reader checks t with the prepared code, which the
+plan then reuses.
 
 The error radius t defaults to the measured decoding radius of the sampled
 secret code: floor((n-k)/2) for Gabidulin, and whatever the q-sum dimension
@@ -91,7 +93,7 @@ class GptSecretKey:
     X: MatFqm
     P: MatFq
 
-    @property
+    @functools.cached_property
     def G_sec(self) -> MatFqm:
         ctx, k = self.params.ctx, self.params.k
         if self.tw is not None and self.tw.ell:
@@ -99,20 +101,26 @@ class GptSecretKey:
         return moore_matrix(ctx, self.g, k)
 
     @functools.cached_property
+    def code(self) -> PreparedCode:
+        """The secret code prepared for decoding at radius t, built on first
+        use; the plan decodes with it, and the key reader checks t with it."""
+        C = Code(self.G_sec)
+        if C.k != self.params.k:
+            raise ValueError(f"secret generator has rank {C.k}, expected {self.params.k}")
+        return prepare(C, self.params.t)
+
+    @functools.cached_property
     def plan(self) -> DecryptPlan:
         """The decryption plan, built on first use (frozen fields keep it
         current)."""
         ctx, k = self.params.ctx, self.params.k
-        G_sec = self.G_sec
-        C = Code(G_sec)
-        if C.k != k:
-            raise ValueError(f"secret generator has rank {C.k}, expected {k}")
-        SG = self.S @ G_sec
+        C = self.code.C
+        SG = self.S @ self.G_sec
         # S G_sec restricted to the pivot columns of C's echelon form is invertible
         cols = [next(j for j, a in enumerate(row) if a) for row in C.gen.data]
         block = MatFqm(ctx, [[row[j] for j in cols] for row in SG.data], k)
         readout = la.solve_left(block, MatFqm.identity(ctx, k))
-        return DecryptPlan(self.P.inverse(), prepare(C, self.params.t), SG, cols, readout)
+        return DecryptPlan(self.P.inverse(), self.code, SG, cols, readout)
 
 
 @dataclass

@@ -77,7 +77,8 @@ class _FqmEchelon:
 
 class _BitEchelon:
     """Incremental row echelon over F_2 with rows packed into ints (bit j =
-    column j).  The workhorse for rank_fq and fq_kernel at q=2."""
+    column j).  The workhorse for rank_fq, fq_kernel and fq_solve at q=2,
+    and for the stabilizer's probe system in the attack module."""
 
     def __init__(self, width: int):
         self.width = width
@@ -106,33 +107,20 @@ class _BitEchelon:
             row ^= prow
         return True
 
-    def reduce(self) -> list[int]:
-        """Back-substitute so each pivot column is set in its own row only;
-        returns the pivot columns in increasing order."""
-        cols = sorted(self.pivots)
-        for idx in range(len(cols) - 1, -1, -1):
-            j = cols[idx]
-            row = self.pivots[j]
-            for jj in cols[idx + 1 :]:
-                if (row >> jj) & 1:
-                    row ^= self.pivots[jj]
-            self.pivots[j] = row
-        return cols
+    def complete(self, x: int) -> int:
+        """x, zero on the pivot columns, with its pivot bits set so that
+        every kept row is orthogonal to it.  A row holds no bit below its
+        pivot, so going from the last pivot down, each bit depends only on
+        bits already set."""
+        for j in sorted(self.pivots, reverse=True):
+            x |= ((self.pivots[j] & x).bit_count() & 1) << j
+        return x
 
     def kernel_basis(self) -> list[int]:
-        """Basis of {x : row . x = 0 for every inserted row}, as bitmasks."""
-        cols = self.reduce()
-        pivset = set(cols)
-        basis = []
-        for f in range(self.width):
-            if f in pivset:
-                continue
-            v = 1 << f
-            for j in cols:
-                if (self.pivots[j] >> f) & 1:
-                    v |= 1 << j
-            basis.append(v)
-        return basis
+        """Basis of {x : row . x = 0 for every inserted row}, as bitmasks:
+        one vector per non-pivot column f, the one that is 1 at f and 0 at
+        the other non-pivot columns."""
+        return [self.complete(1 << f) for f in range(self.width) if f not in self.pivots]
 
 
 class MatFqm:
@@ -643,12 +631,9 @@ def _solve_bits(rows, cols: int) -> list[int] | None:
         ech.add(r)
     if cols in ech.pivots:
         return None  # a row reduced to 0 = 1
-    # back-substitute from the last pivot: x_j = b_j + sum of the later x
-    # that row j touches; free variables stay zero
-    x = 0
-    for j in sorted(ech.pivots, reverse=True):
-        row = ech.pivots[j]
-        x |= (((row >> cols) ^ (row & x).bit_count()) & 1) << j
+    # the right-hand side is a non-pivot column fixed to 1; free variables
+    # stay zero
+    x = ech.complete(1 << cols)
     return [(x >> j) & 1 for j in range(cols)]
 
 

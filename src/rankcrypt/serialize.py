@@ -214,8 +214,10 @@ def secret_key_from_json(obj: dict) -> GptSecretKey:
         raise ValueError(f"g has {len(sk.g)} entries, expected {n}")
     if tw is not None:
         tw.validate(n, k)
-    radius = max_radius(Code(sk.G_sec))
-    if params.t is None or params.t > radius:
+    # t <= radius iff n - dim Lambda_t >= t, since dim Lambda_t + t rises
+    # strictly with t; the key keeps the prepared code for its plan
+    if params.t is None or sk.code.Ht.rows < params.t:
+        radius = max_radius(Code(sk.G_sec))
         raise ValueError(f"error rank t={params.t} exceeds decoding radius {radius}")
     return sk
 

@@ -253,3 +253,88 @@ def test_overbeck_rejects_length_mismatch():
         attack_overbeck(pk, c[:-1], rng)
     with pytest.raises(ValueError):
         attack_extension(pk, c + [0])
+
+
+# -- the q=2 probe stabilizer against the full system ------------------------
+
+
+def _full_system_basis(C):
+    """Stabilizer basis from every constraint g_a (x) h_b fed to fq_kernel:
+    the reference the q=2 probes and exact checks must reproduce."""
+    ctx, N = C.ctx, C.n
+    H = la.right_kernel(C.gen)
+    rows = (
+        [p for gu in ga for p in ctx.mul_row(gu, hb)] for ga in C.gen.data for hb in H.data
+    )
+    vecs = la.fq_kernel(ctx, rows, N * N).data
+    return [MatFq(2, [vec[u * N : (u + 1) * N] for u in range(N)], N) for vec in vecs]
+
+
+def _probe_rows(C):
+    # ceil(N^2 / m) probes of m bit-rows each
+    return -(-C.n * C.n // C.ctx.m) * C.ctx.m
+
+
+def _block_diagonal_code():
+    ctx = field(2, 12)
+    rng = make_rng(505)
+    A = random_code(ctx, 5, 2, rng)
+    B = random_code(ctx, 6, 2, rng)
+    return Code(A.gen.hstack(MatFqm.zeros(ctx, 2, 6)).vstack(MatFqm.zeros(ctx, 2, 5).hstack(B.gen)))
+
+
+def _twisted_qsum_m104():
+    params = GptParams(field(2, 104), n=26, k=18, lam=6, s=1, instantiation="twisted", ell=2)
+    _, pk = keygen(params, make_rng(507))
+    return qsum(Code(pk.G_pub), 1)
+
+
+_PROBE_CASES = {
+    "m3": lambda: random_code(field(2, 3), 6, 2, make_rng(508)),
+    "m4": lambda: random_code(field(2, 4), 8, 5, make_rng(509)),
+    "m16": lambda: random_code(field(2, 16), 12, 5, make_rng(510)),
+    "block-diagonal": _block_diagonal_code,
+    "full-space": lambda: Code(MatFqm.identity(field(2, 8), 4)),
+    "m28-low-rank": lambda: qsum(Code(_low_rank_instance(2)[3].G_pub), 1),
+    "m104-twisted": _twisted_qsum_m104,
+}
+
+
+# rows of the full system, and a bound on the rows the probes feed
+_FULL_AND_PROBE_ROWS = {"m28-low-rank": (6300, 1000), "m104-twisted": (18200, 1100)}
+
+
+@pytest.mark.parametrize("case", list(_PROBE_CASES))
+def test_probe_stabilizer_matches_full_system(case):
+    C = _PROBE_CASES[case]()
+    alg = stabilizer(C)
+    assert alg.basis == _full_system_basis(C)
+    H_rows = C.n - C.k
+    if H_rows == 0:
+        assert alg.rows_fed == 0  # no constraint, so no probe
+    else:
+        assert alg.rows_fed >= _probe_rows(C)
+    if case in _FULL_AND_PROBE_ROWS:
+        # 33 probes for 225 pairs at m=28, 10 for 175 pairs at m=104
+        full, bound = _FULL_AND_PROBE_ROWS[case]
+        assert C.k * H_rows * C.ctx.m == full
+        assert alg.rows_fed <= bound
+
+
+@pytest.mark.parametrize("k, seed", [(5, 0), (9, 3)])
+def test_probe_stabilizer_witness_rows(k, seed):
+    # the probes leave extra kernel candidates here, so the exact check
+    # fails and the violated pairs' rows are fed until the basis is exact;
+    # k=5 checks through H (fewer rows than G), k=9 through G
+    ctx = field(2, 16)
+    C = random_code(ctx, 12, k, make_rng(seed))
+    alg = stabilizer(C)
+    assert alg.rows_fed > _probe_rows(C)
+    assert (alg.rows_fed - _probe_rows(C)) % ctx.m == 0
+    assert alg.basis == _full_system_basis(C)
+
+
+def test_stabilizer_rows_fed_at_odd_q_is_the_full_system():
+    ctx = field(3, 8)
+    C = random_code(ctx, 8, 3, make_rng(511))
+    assert stabilizer(C).rows_fed == 3 * 5 * 8

@@ -105,3 +105,28 @@ def test_file_write_read(tmp_path):
     ser.write_json(path, ser.public_key_to_json(pk))
     again = ser.public_key_from_json(ser.read_json(path))
     assert again.G_pub == pk.G_pub
+
+
+def test_reading_a_key_and_decrypting_runs_one_qsum_echelon(monkeypatch):
+    # the reader checks t with the key's prepared secret code, which the
+    # first decrypt reuses, so the q-sum echelon of the secret code runs once
+    from rankcrypt import codes, decoder
+    from rankcrypt.gpt import decrypt
+
+    sk, pk = _keypair()
+    rng = make_rng(603)
+    msg = [pk.params.ctx.random(rng) for _ in range(8)]
+    c = encrypt(pk, msg, rng)
+    blob = ser.secret_key_to_json(sk)
+    runs = []
+    orig = codes._qsum_echelon
+
+    def counting(C):
+        runs.append(C.n)
+        return orig(C)
+
+    monkeypatch.setattr(codes, "_qsum_echelon", counting)
+    monkeypatch.setattr(decoder, "_qsum_echelon", counting)
+    sk2 = ser.secret_key_from_json(blob)
+    assert decrypt(sk2, c) == msg
+    assert runs == [20]
