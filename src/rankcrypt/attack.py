@@ -26,6 +26,14 @@ names a violated pair (a, b), whose rows g_a (x) h_b are added, which
 removes at least one kernel dimension.  When every candidate passes, the
 kernel is the full system's, and so is its canonical basis.
 
+At q=2 no F_{2^m} arithmetic is done on the way.  The probes, uG and vH
+are held as coefficient bit planes, and every product (the other blocks of
+uG and vH, each probe, each witness g_a (x) h_b and the check) is
+linalg._clmul_planes: exact float32 BLAS products against a Toeplitz
+layout, then against the table of x^s mod f, read mod 2.  The m bit-rows of
+all probes go to the F_2 echelon in one bulk load (_BitEchelon.load, one
+byte of columns per step), the witness rows one by one.
+
 Nothing here reads secret keys.  Success is verified publicly: the
 recovered message must re-encode to within rank t of the ciphertext.
 """
@@ -43,6 +51,11 @@ from .decoder import decode
 from .gpt import GptPublicKey
 from .linalg import MatFq, MatFqm
 from .rng import make_rng
+
+# numpy comes after the package modules: imported first, it would load
+# before linalg is compiled, and without a bytecode cache the freed compile
+# memory then stays resident (about 1 MB of peak RSS)
+import numpy as np  # noqa: E402
 
 
 class AttackError(RuntimeError):
@@ -89,8 +102,10 @@ def stabilizer(C: Code) -> StabilizerAlgebra:
     the kernel of ceil(N^2/m) rank-one probes (uG) (x) (vH), u and v dense
     and drawn from the _PROBE_SEED stream, is checked candidate by
     candidate against G M H^T = 0, and each violated pair (a, b) adds the
-    rows of g_a (x) h_b until every candidate passes.  Both ways the basis
-    is the full system's canonical kernel basis (one vector per free
+    rows of g_a (x) h_b until every candidate passes.  The q=2 products are
+    computed on coefficient bit planes by linalg._clmul_planes, and the
+    probes' bit-rows are bulk-loaded into the F_2 echelon.  Both ways the
+    basis is the full system's canonical kernel basis (one vector per free
     column, in column order); rows_fed counts the F_q rows fed.
     """
     ctx, N = C.ctx, C.n
@@ -111,82 +126,95 @@ def stabilizer(C: Code) -> StabilizerAlgebra:
     return StabilizerAlgebra(N, basis, rows_fed)
 
 
-def _pair_row(ctx, x: list[int], y: list[int]) -> list[int]:
-    """x (x) y: entry u len(y) + v is x_u y_v."""
-    return [p for xu in x for p in ctx.mul_row(xu, y)]
-
-
 def _kernel_by_probes(ctx, G: MatFqm, H: MatFqm) -> tuple[list[list[int]], int]:
     """q=2: the kernel vectors of G M H^T = 0 and the number of F_2 rows fed."""
     N, m = G.cols, ctx.m
+    # G is in reduced echelon form and H = right_kernel(G), so G has the
+    # identity at its pivot columns and H at the others
+    pivots = [next(j for j, a in enumerate(row) if a) for row in G.data]
+    free = sorted(set(range(N)) - set(pivots))
     ech = la._BitEchelon(N * N)
     fed = 0
-
-    def feed(row):
-        nonlocal fed
-        for bits in la._bit_rows(ctx, row):
-            ech.add(bits)
-        fed += m
-
     if G.rows and H.rows:
-        rng = make_rng(_PROBE_SEED)
-        for _ in range(-(-N * N // m)):
-            x = la.vec_mat(ctx, [ctx.random(rng) for _ in range(G.rows)], G)
-            y = la.vec_mat(ctx, [ctx.random(rng) for _ in range(H.rows)], H)
-            feed(_pair_row(ctx, x, y))
-    violation = _violation_finder(ctx, G, H)
+        probes = _probe_rows(ctx, G, H, pivots, free)
+        ech.load(probes)
+        fed = len(probes)
+    violation = _violation_finder(ctx, G, H, pivots, free)
     while True:
         kernel = ech.kernel_basis()
         pairs = {pair for v in kernel if (pair := violation(v)) is not None}
         if not pairs:
             return [[(v >> j) & 1 for j in range(N * N)] for v in kernel], fed
         for a, b in sorted(pairs):
-            feed(_pair_row(ctx, G.data[a], H.data[b]))
+            for bits in la._outer_bit_rows(ctx, G.data[a], H.data[b]):
+                ech.add(bits)
+            fed += m
 
 
-def _violation_finder(ctx, G: MatFqm, H: MatFqm):
+def _block_bits(ctx, M: MatFqm, cols: list[int]) -> np.ndarray:
+    """q=2: the coefficient bits of the columns cols of M, (rows, cols, m)."""
+    bits = la._coeff_bits(ctx, [row[j] for row in M.data for j in cols])
+    return bits.reshape(M.rows, len(cols), ctx.m)
+
+
+def _probe_rows(ctx, G: MatFqm, H: MatFqm, pivots: list[int], free: list[int]) -> np.ndarray:
+    """q=2: the m bit-rows of each of the ceil(N^2/m) probes (uG) (x) (vH),
+    packed 8 columns per byte.  Everything stays in bit planes: uG is u at
+    the pivot columns and u times the other block of G elsewhere, vH is v
+    at the free columns, and both products and the probes themselves go
+    through linalg._clmul_planes."""
+    N, m = G.cols, ctx.m
+    k = G.rows
+    count = -(-N * N // m)
+    # u then v, probe by probe, as ctx.random would draw them: rng.bytes
+    # takes whole 32-bit words, so each element reads its own words
+    words = -(-m // 32)
+    raw = make_rng(_PROBE_SEED).bytes(count * N * 4 * words)
+    draws = np.frombuffer(raw, dtype=np.uint8).reshape(count, N, 4 * words)
+    UV = np.unpackbits(draws, axis=2, bitorder="little")[:, :, :m]
+    X = np.empty((count, N, m), dtype=np.uint8)  # uG
+    X[:, pivots] = UV[:, :k]
+    X[:, free] = la._clmul_planes(ctx, UV[:, :k], _block_bits(ctx, G, free)).transpose(1, 2, 0)
+    Y = np.empty((count, N, m), dtype=np.uint8)  # vH
+    Y[:, free] = UV[:, k:]
+    Y[:, pivots] = la._clmul_planes(ctx, UV[:, k:], _block_bits(ctx, H, pivots)).transpose(1, 2, 0)
+    rows = np.empty((count * m, -(-N * N // 8)), dtype=np.uint8)
+    for p in range(count):
+        planes = la._clmul_planes(ctx, X[p][:, None], Y[p][None])
+        rows[p * m : (p + 1) * m] = np.packbits(planes.reshape(m, N * N), axis=1, bitorder="little")
+    return rows
+
+
+def _violation_finder(ctx, G: MatFqm, H: MatFqm, pivots: list[int], free: list[int]):
     """q=2: a function taking M over F_2, packed as bit u N + v = M[u][v],
     to the first pair (a, b) with g_a M h_b^T != 0, or to None.
 
-    G is in reduced echelon form and H = right_kernel(G), so G has the
-    identity at its pivot columns and H at the others.  With L the one of
-    the two with fewer columns outside its identity block and R the other,
-    L M' R^T (M' = M or M^T) is Y at the identity columns plus the rest of L
-    times Y, where Y = M' R^T is a sum of columns of R: about
-    k'(N-k') min(k', N-k') products for a [N, k'] code.  Columns of R are
-    packed m bits per entry, so each term of that sum is one XOR.
+    With L the one of G and H with fewer columns outside its identity block
+    and R the other, L M' R^T (M' = M or M^T) is Y at the identity columns
+    plus the rest of L times Y, where Y = M' R^T is a sum of columns of R
+    (a float32 product of M' with the bits of R^T, read mod 2), and the rest
+    of L times Y is one linalg._clmul_planes product: about
+    k'(N-k') min(k', N-k') products for a [N, k'] code.
     """
     N, m = G.cols, ctx.m
-    mask = (1 << m) - 1
-    pivots = [next(j for j, a in enumerate(row) if a) for row in G.data]
-    free = sorted(set(range(N)) - set(pivots))
     direct = H.rows <= G.rows  # L = G, else L = H and M' = M^T
     L, R, ident, rest = (G, H, pivots, free) if direct else (H, G, free, pivots)
     width = R.rows
-    Rcols = [sum(r[j] << (i * m) for i, r in enumerate(R.data)) for j in range(N)]
-
-    def unpack(packed):
-        return [(packed >> (i * m)) & mask for i in range(width)]
+    Rt = _block_bits(ctx, R, list(range(N))).transpose(1, 0, 2).reshape(N, width * m)
+    Rt = Rt.astype(np.float32)
+    Lrest = _block_bits(ctx, L, rest)
 
     def violation(v: int):
-        Y = [0] * N
-        while v:
-            low = v & -v
-            u, w = divmod(low.bit_length() - 1, N)
-            if direct:
-                Y[u] ^= Rcols[w]
-            else:
-                Y[w] ^= Rcols[u]
-            v ^= low
-        Yrest = [unpack(Y[j]) for j in rest]
-        for a, row in enumerate(L.data):
-            acc = unpack(Y[ident[a]])
-            for j, yj in zip(rest, Yrest):
-                ctx.mac_row(acc, row[j], yj)
-            b = next((b for b, e in enumerate(acc) if e), None)
-            if b is not None:
-                return (a, b) if direct else (b, a)
-        return None
+        packed = np.frombuffer(v.to_bytes(-(-N * N // 8), "little"), dtype=np.uint8)
+        M = np.unpackbits(packed, bitorder="little")[: N * N].reshape(N, N).astype(np.float32)
+        Y = la._mod2((M if direct else M.T) @ Rt)  # sums of at most N bits
+        Y = Y.astype(np.uint8).reshape(N, width, m)
+        acc = Y[ident] ^ la._clmul_planes(ctx, Lrest, Y[rest]).transpose(1, 2, 0)
+        hits = np.flatnonzero(acc.any(axis=2))
+        if not hits.size:
+            return None
+        a, b = divmod(int(hits[0]), width)
+        return (a, b) if direct else (b, a)
 
     return violation
 

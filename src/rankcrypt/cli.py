@@ -187,7 +187,15 @@ def _cmd_attack(args) -> int:
     if args.mode == "extension":
         rep = attack_extension(pk, c, i_max=args.i_max)
     else:
-        rep = attack_overbeck(pk, c, make_rng(args.seed), i=1 if args.i_max is None else args.i_max)
+        # like the extension attack, try i = 1 .. i_max and stop at the first success
+        i_max = 1 if args.i_max is None else args.i_max
+        if i_max < 1:
+            raise ValueError(f"--i-max must be at least 1, got {i_max}")
+        rng = make_rng(args.seed)
+        for i in range(1, i_max + 1):
+            rep = attack_overbeck(pk, c, rng, i=i)
+            if rep.success:
+                break
     report_path = args.report or args.out
     if report_path:
         ser.write_json(report_path, ser.report_to_json(ctx, rep))

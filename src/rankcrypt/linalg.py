@@ -14,10 +14,15 @@ forms; intersections go through duals, (A cap B)-perp = A-perp + B-perp.
 The module also provides the bridge from F_{q^m}-linear constraints on
 F_q-valued unknowns to plain F_q systems (expand_fq_system), to their F_q
 kernel (fq_kernel) and to one of their solutions (fq_solve), rank-metric
-weights (rank_fq), and the random samplers used by key generation.
+weights (rank_fq), and the random samplers used by key generation.  At q=2
+it also multiplies F_{2^m} matrices held as coefficient bit planes
+(_clmul_planes, exact float32 BLAS products) and bulk-loads packed F_2 rows
+into an echelon (_BitEchelon.load); the stabilizer attack uses both.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -115,6 +120,61 @@ class _BitEchelon:
         for j in sorted(self.pivots, reverse=True):
             x |= ((self.pivots[j] & x).bit_count() & 1) << j
         return x
+
+    def load(self, rows: np.ndarray) -> None:
+        """Insert every row of a packed uint8 matrix (bit j of a row is bit
+        j % 8 of byte j // 8) into an empty echelon, with the same pivot
+        columns, rank and kernel_basis() as add() row by row.
+
+        M4RI-style, one byte (8 columns) at a time: the rows left over
+        pick at most 8 rows whose bytes span all of theirs; a 2^k-row table
+        of their XOR combinations, indexed through a 256-entry lookup of
+        the byte, clears that byte in every row with one XOR; the k rows
+        become pivots (the combinations whose byte is reduced echelon, so
+        their lowest bit is the pivot column) and are dropped with the
+        cleared byte.
+        """
+        if self.pivots:
+            raise ValueError("load needs an empty echelon")
+        nbytes = (self.width + 7) // 8
+        if rows.ndim != 2 or rows.shape[1] != nbytes:
+            raise ValueError(f"expected rows of {nbytes} bytes")
+        A = np.asarray(rows, dtype=np.uint8)  # never written: each step makes a new A
+        for b in range(nbytes):
+            if not len(A):
+                break
+            col = A[:, 0].copy()  # a copy, so the old A can go when A is replaced
+            chosen, span = [], {}  # span: lowest bit -> byte, in echelon form
+            for i, v in enumerate(col.tolist()):
+                while v and (v & -v) in span:
+                    v ^= span[v & -v]
+                if v:
+                    span[v & -v] = v
+                    chosen.append(i)
+                    if len(chosen) == 8:
+                        break
+            if not chosen:
+                A = A[:, 1:]
+                continue
+            k = len(chosen)
+            table = np.zeros((1 << k, A.shape[1]), dtype=np.uint8)
+            for i, r in enumerate(chosen):
+                table[1 << i : 2 << i] = table[: 1 << i] ^ A[r]
+            lookup = np.zeros(256, dtype=np.intp)
+            lookup[table[:, 0]] = np.arange(1 << k)
+            lows = sorted(span)
+            for low in lows:
+                v = span[low]  # reduced: zero at the other pivot bits
+                for other in lows:
+                    if other > low and v & other:
+                        v ^= span[other]
+                row = int.from_bytes(table[lookup[v]].tobytes(), "little")
+                self.pivots[8 * b + low.bit_length() - 1] = row << (8 * b)
+            keep = np.ones(len(A), dtype=bool)
+            keep[chosen] = False
+            idx = lookup[col[keep]]
+            A = A[keep, 1:]
+            A ^= table[idx, 1:]
 
     def kernel_basis(self) -> list[int]:
         """Basis of {x : row . x = 0 for every inserted row}, as bitmasks:
@@ -593,14 +653,114 @@ def fq_solve(ctx: FieldCtx, rows: list[list[int]], rhs: list[int], width: int):
 def _bit_rows(ctx: FieldCtx, row: list[int]) -> list[int]:
     """q=2: the m coefficient bit-rows of an F_{2^m} row, bit-row t holding
     coefficient t of every entry (bit j = entry j)."""
-    m, nbytes = ctx.m, (ctx.m + 7) // 8
+    return _pack_rows(_coeff_bits(ctx, row).T)
+
+
+def _coeff_bits(ctx: FieldCtx, row: list[int]) -> np.ndarray:
+    """q=2: the coefficient bits of F_{2^m} elements, shape (len(row), m)."""
+    nbytes = (ctx.m + 7) // 8
     buf = b"".join(a.to_bytes(nbytes, "little") for a in row)
     arr = np.frombuffer(buf, dtype=np.uint8).reshape(len(row), nbytes)
-    bits = np.unpackbits(arr, axis=1, bitorder="little")[:, :m]
+    return np.unpackbits(arr, axis=1, bitorder="little")[:, : ctx.m]
+
+
+def _pack_rows(bits: np.ndarray) -> list[int]:
+    """Rows of a 0/1 matrix as ints, bit j = column j."""
     return [
         int.from_bytes(packed.tobytes(), "little")
-        for packed in np.packbits(bits.T, axis=1, bitorder="little")
+        for packed in np.packbits(bits, axis=1, bitorder="little")
     ]
+
+
+def _outer_bit_rows(ctx: FieldCtx, x: list[int], y: list[int]) -> list[int]:
+    """q=2: _bit_rows of x (x) y (entry u len(y) + v is x_u y_v), computed
+    by _clmul_planes."""
+    planes = _clmul_planes(ctx, _coeff_bits(ctx, x)[:, None], _coeff_bits(ctx, y)[None])
+    return _pack_rows(planes.reshape(ctx.m, len(x) * len(y)))
+
+
+# Byte bound on the Toeplitz block of one _clmul_planes step (at least one
+# entry's m x (2m-1) block).  Larger blocks mean fewer BLAS calls but a
+# higher peak RSS.
+_CLMUL_BLOCK_BYTES = 1 << 16
+
+
+def _clmul_planes(ctx: FieldCtx, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """q=2: the coefficient bits of the F_{2^m} matrix product A B, with no
+    F_{2^m} arithmetic.  A (P, K, m) and B (K, Q, m) hold the coefficient
+    bits of the entries (as from _coeff_bits); plane t of the (m, P, Q)
+    result holds bit t of sum_a A[p, a] B[a, q].
+
+    Two exact float32 BLAS products per block of columns of B: the bits of
+    A against the Toeplitz layout of B give the unreduced carry-less
+    products (coefficients 0 .. 2m-2, summed over a), and those against
+    the (2m-1) x m table of the bits of x^s mod f give the reduced ones;
+    both are read mod 2.  For K > 1 the first product is taken mod 2 before
+    the second, so every sum is an integer of at most max(K, 2m-1) m, which
+    float32 holds exactly below 2^24 (the largest at m=192 is 383 * 192 =
+    73536).  Each Toeplitz block is capped at _CLMUL_BLOCK_BYTES by splitting
+    over a and over the columns of B.
+    """
+    m = ctx.m
+    P, K, _ = A.shape
+    Q = B.shape[1]
+    w = 2 * m - 1
+    red = _reduction_table(m, ctx.modulus)
+    X = A.reshape(P, K * m).astype(np.float32)
+    blocks = max(1, _CLMUL_BLOCK_BYTES // (4 * m * w))  # (a, q) entries per block
+    qc = max(1, blocks // max(K, 1))
+    ka = max(1, min(K, blocks // qc))
+    out = np.empty((m, P, Q), dtype=np.uint8)
+    for q0 in range(0, Q, qc):
+        q1 = min(Q, q0 + qc)
+        S = X[:, : ka * m] @ _toeplitz(B[:ka, q0:q1])
+        for a0 in range(ka, K, ka):
+            S += X[:, a0 * m : (a0 + ka) * m] @ _toeplitz(B[a0 : a0 + ka, q0:q1])
+        if K > 1:
+            S = _mod2(S).astype(np.float32)
+        Z = _mod2(S.reshape(P * (q1 - q0), w) @ red)
+        out[:, :, q0:q1] = Z.reshape(P, q1 - q0, m).transpose(2, 0, 1)
+    return out
+
+
+def _mod2(S: np.ndarray) -> np.ndarray:
+    """Integer-valued float32 entries mod 2, as int32 (np.fmod is far
+    slower)."""
+    S = S.astype(np.int32)
+    S &= 1
+    return S
+
+
+def _toeplitz(Y: np.ndarray) -> np.ndarray:
+    """Coefficient bits Y (K, Q, m) laid out as the (K m, Q (2m-1)) float32
+    matrix with entry ((a, i), (q, s)) = Y[a, q, s - i] (0 outside the
+    range): row (a, i) holds the coefficients of x^i Y[a, q]."""
+    K, Q, m = Y.shape
+    pad = np.zeros((K, Q, 3 * m - 2), dtype=np.float32)
+    pad[:, :, m - 1 : 2 * m - 1] = Y
+    sa, sq, se = pad.strides
+    # entry (a, i, q, s) at pad[a, q, m - 1 - i + s]: a window of the padded
+    # row that slides one place left per step of i
+    view = np.lib.stride_tricks.as_strided(
+        pad[:, :, m - 1 :], shape=(K, m, Q, 2 * m - 1), strides=(sa, -se, sq, se)
+    )
+    return view.reshape(K * m, Q * (2 * m - 1))
+
+
+@functools.lru_cache(maxsize=None)
+def _reduction_table(m: int, modulus: tuple[int, ...]) -> np.ndarray:
+    """q=2: the (2m-1) x m float32 table whose row s holds the bits of
+    x^s mod f, for F_{2^m} = F_2[x]/(f); read-only, one per field."""
+    f = sum((c & 1) << i for i, c in enumerate(modulus))
+    rows, p = [], 1
+    for _ in range(2 * m - 1):
+        rows.append([(p >> t) & 1 for t in range(m)])
+        p <<= 1
+        if p >> m:
+            p ^= f
+    table = np.array(rows, dtype=np.float32)
+    table.flags.writeable = False
+    return table
 
 
 def solve_fq(A: MatFq, b: list[int]) -> list[int] | None:

@@ -242,3 +242,24 @@ def test_distinguish_rejects_negative_i_max(capsys):
     assert rc == 2 and len(err) == 1
     obj = json.loads(err[0])
     assert obj["kind"] == "usage" and "--i-max" in obj["error"]
+
+
+def test_overbeck_scans_i_up_to_i_max(tmp_path):
+    # distortion rank 2 of 6: the distortion leaves the dual of Lambda_i
+    # only from i=2, so Overbeck fails at i=1 and succeeds at i=2
+    prefix = str(tmp_path / "key")
+    assert run("keygen", "--q", "2", "--m", "28", "--n", "24", "--k", "12",
+               "--lambda", "6", "--s", "2", "--seed", "1", "--out", prefix) == 0
+    pk, ct, rep = prefix + ".pk.json", str(tmp_path / "ct.json"), str(tmp_path / "rep.json")
+    assert run("encrypt", "--in", pk, "--seed", "5", "--out", ct) == 0
+    planted = json.loads(open(str(tmp_path / "ct.msg.json")).read())["msg"]
+    # without --i-max only i=1 is tried
+    assert run("attack", "--in", pk, "--in", ct, "--mode", "overbeck", "--report", rep) == 1
+    obj = json.loads(open(rep).read())
+    assert obj["i_used"] == 1 and obj["failure"].startswith("distortion_not_eliminated")
+    # with --i-max 3 the scan stops at the first success, i=2
+    assert run("attack", "--in", pk, "--in", ct, "--mode", "overbeck",
+               "--i-max", "3", "--report", rep) == 0
+    obj = json.loads(open(rep).read())
+    assert obj["success"] is True and obj["i_used"] == 2
+    assert obj["recovered"] == planted

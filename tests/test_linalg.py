@@ -1,5 +1,6 @@
 """Matrix and subspace layer: contract examples, frozen oracles, properties."""
 
+import numpy as np
 import pytest
 
 from rankcrypt import linalg as la
@@ -247,3 +248,107 @@ def test_random_independent_vec():
         assert la.rank_fq(ctx, g) == n
     with pytest.raises(ValueError):
         la.random_independent_vec(ctx, 21, rng)
+
+
+# -- q=2 bit planes: products without F_{2^m} arithmetic, and the bulk load ---
+
+
+def _entries(ctx, rng, count):
+    """count elements, about half of them 0, 1 or x^(m-1), the rest random
+    and all-ones (the most carries)."""
+    special = [0, 1, 1 << (ctx.m - 1), (1 << ctx.m) - 1]
+    return [
+        special[int(rng.integers(4))] if rng.integers(2) else ctx.random(rng)
+        for _ in range(count)
+    ]
+
+
+@pytest.mark.parametrize("m", [2, 3, 8, 9, 16, 28, 40, 104, 192])
+def test_outer_bit_rows_match_field_products(m):
+    ctx = field(2, m)
+    rng = make_rng(600 + m)
+    for M, N in ((1, 1), (1, 6), (6, 1), (5, 7), (7, 5)):
+        x, y = _entries(ctx, rng, M), _entries(ctx, rng, N)
+        expected = la._bit_rows(ctx, [ctx.mul(a, b) for a in x for b in y])
+        assert la._outer_bit_rows(ctx, x, y) == expected, (M, N)
+    top = (1 << m) - 1  # every coefficient 1: the largest sums of the kernel
+    assert la._outer_bit_rows(ctx, [top] * 3, [top] * 4) == la._bit_rows(
+        ctx, [ctx.mul(top, top)] * 12
+    )
+
+
+@pytest.mark.parametrize("block_bytes", [1, 1 << 17, 1 << 30])
+@pytest.mark.parametrize("m", [3, 28, 104])
+def test_clmul_planes_is_the_matrix_product(m, block_bytes, monkeypatch):
+    # sums over a (K > 1), split into one entry per block, the default
+    # blocks and a single block
+    monkeypatch.setattr(la, "_CLMUL_BLOCK_BYTES", block_bytes)
+    ctx = field(2, m)
+    rng = make_rng(700 + m)
+    for P, K, Q in ((1, 6, 5), (4, 1, 9), (3, 7, 2), (2, 0, 3)):
+        A = MatFqm(ctx, [_entries(ctx, rng, K) for _ in range(P)], K)
+        B = MatFqm(ctx, [_entries(ctx, rng, Q) for _ in range(K)], Q)
+        bitsA = la._coeff_bits(ctx, [e for r in A.data for e in r]).reshape(P, K, m)
+        bitsB = la._coeff_bits(ctx, [e for r in B.data for e in r]).reshape(K, Q, m)
+        planes = la._clmul_planes(ctx, bitsA, bitsB)
+        expected = [e for r in (A @ B).data for e in r]
+        assert la._pack_rows(planes.reshape(m, P * Q)) == la._bit_rows(ctx, expected)
+
+
+def _random_f2_rows(rng, count, width, density=0.5):
+    return (rng.random((count, width)) < density).astype(np.uint8)
+
+
+def _bulk_and_rowwise(bits, width, extra=()):
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    rowwise, bulk = la._BitEchelon(width), la._BitEchelon(width)
+    for r in packed:
+        rowwise.add(int.from_bytes(r.tobytes(), "little"))
+    bulk.load(packed)
+    for r in extra:
+        assert rowwise.add(r) == bulk.add(r)
+    return rowwise, bulk
+
+
+@pytest.mark.parametrize("width", [1, 7, 8, 9, 64, 900])
+def test_bit_echelon_load_matches_add(width):
+    rng = np.random.default_rng(width)
+    cases = {
+        "empty": np.zeros((0, width), np.uint8),
+        "rank 0": np.zeros((5, width), np.uint8),
+        # unit upper triangular, rows shuffled
+        "full rank": rng.permutation(
+            np.triu(_random_f2_rows(rng, width, width), 1) | np.eye(width, dtype=np.uint8)
+        ),
+        "tall": _random_f2_rows(rng, width + 24, width),
+        "sparse": _random_f2_rows(rng, max(2, width // 2), width, 0.05),
+    }
+    mixed = _random_f2_rows(rng, max(4, width // 3), width)
+    mixed[1] = mixed[0]  # a duplicate
+    mixed[2] = 0  # a zero row
+    mixed[3] ^= mixed[0]  # and a dependent one
+    cases["zero and duplicate rows"] = mixed
+    extra = [int(rng.integers(1 << min(width, 62))) for _ in range(4)]
+    extra += [(1 << width) - 1, 0]
+    for name, bits in cases.items():
+        rowwise, bulk = _bulk_and_rowwise(bits, width)
+        assert set(rowwise.pivots) == set(bulk.pivots), name
+        assert rowwise.rank == bulk.rank, name
+        assert rowwise.kernel_basis() == bulk.kernel_basis(), name
+        if name == "full rank":
+            assert bulk.rank == width
+        if name in ("empty", "rank 0"):
+            assert bulk.rank == 0
+        # rows added after the load meet the same echelon
+        rowwise, bulk = _bulk_and_rowwise(bits, width, extra)
+        assert set(rowwise.pivots) == set(bulk.pivots), name
+        assert rowwise.kernel_basis() == bulk.kernel_basis(), name
+
+
+def test_bit_echelon_load_needs_an_empty_echelon_and_the_row_width():
+    ech = la._BitEchelon(9)
+    with pytest.raises(ValueError):
+        ech.load(np.zeros((2, 1), np.uint8))  # 9 columns take 2 bytes
+    ech.add(1)
+    with pytest.raises(ValueError):
+        ech.load(np.zeros((2, 2), np.uint8))
