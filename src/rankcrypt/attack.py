@@ -297,20 +297,6 @@ def find_rank_n_idempotent(alg: StabilizerAlgebra, n: int) -> MatFq:
     raise AttackError("idempotent_rank_mismatch")
 
 
-def split_probe(C: Code) -> tuple[str, int]:
-    """('split', stab_dim) when a nontrivial idempotent exists in the
-    stabilizer, else ('not_split', stab_dim)."""
-    alg = stabilizer(C)
-    N = alg.n_total
-    if alg.dim <= 1:
-        return "not_split", alg.dim
-    for R in _pencil(alg):
-        F = _idempotent_from(R)
-        if F is not None and 0 < la.rank(F) < N:
-            return "split", alg.dim
-    return "not_split", alg.dim
-
-
 # -- end-to-end attacks ------------------------------------------------------
 
 
@@ -338,9 +324,7 @@ def _recover(pk: GptPublicKey, c: list[int], G: MatFqm, codeword: list[int]):
     return msg, None
 
 
-def attack_extension(
-    pk: GptPublicKey, c: list[int], i_max: int | None = None, retry_all: bool = True
-) -> AttackReport:
+def attack_extension(pk: GptPublicKey, c: list[int], i_max: int | None = None) -> AttackReport:
     """Stabilizer attack: split Lambda_i(C_pub), project by the rank-n
     idempotent, decode the projected ciphertext, verify by re-encoding."""
     params = pk.params
@@ -376,7 +360,7 @@ def attack_extension(
             continue
         with _phase(tm, "decode"):
             CF = Code(C_pub.gen @ F)
-            res = decode(CF, la.vec_mat(ctx, c, F), t, retry_all=retry_all)
+            res = decode(CF, la.vec_mat(ctx, c, F), t)
         if not res.ok:
             failure = "decode_" + res.status
             continue
@@ -433,7 +417,7 @@ def attack_overbeck(pk: GptPublicKey, c: list[int], rng, i: int = 1) -> AttackRe
         return fail("stripped_generator_rank_deficient")
     with _phase(tm, "decode"):
         y2 = la.vec_mat(ctx, c, Tinv)[lam:]
-        res = decode(Code(Gp), y2, t, retry_all=True)
+        res = decode(Code(Gp), y2, t)
     if not res.ok:
         return fail("decode_" + res.status)
     with _phase(tm, "recover"):

@@ -28,8 +28,8 @@ class Code:
 
     __slots__ = ("gen",)
 
-    def __init__(self, gen: MatFqm, canonical: bool = False):
-        self.gen = gen if canonical else la.canonical(gen)
+    def __init__(self, gen: MatFqm):
+        self.gen = la.canonical(gen)
 
     @property
     def ctx(self) -> FieldCtx:
@@ -207,12 +207,11 @@ def dim_profile(C: Code, i_max: int) -> list[int]:
     return dims + [C.n] * (i_max + 1 - len(dims))
 
 
-def classify(C: Code, profile: list[int] | None = None):
+def classify(C: Code):
     """Heuristic label from the first q-sum increment d = dim Lambda_1 - k:
     d <= 1 looks Gabidulin, d >= k looks random, anything between looks
     twisted with ell ~ (d-1)/2 twists.  Returns (label, ell_estimate)."""
-    if profile is None:
-        profile = dim_profile(C, 1)
+    profile = dim_profile(C, 1)
     d1 = profile[1] - profile[0]
     if d1 <= 1:
         return "gabidulin_like", 0
@@ -226,11 +225,6 @@ def dual(C: Code) -> Code:
     return Code(la.right_kernel(C.gen))
 
 
-def frobenius_shift(C: Code, j: int) -> Code:
-    """C^[j]: entrywise Frobenius.  Field automorphisms preserve RREF."""
-    return Code(C.gen.frob(j), canonical=True)
-
-
 def closure(C: Code, s: int) -> Code:
     """Largest code C' with Lambda_s(C') = Lambda_s(C): the intersection of
     the shifts Lambda_s(C)^[-j] for j = 0..s."""
@@ -240,7 +234,7 @@ def closure(C: Code, s: int) -> Code:
     acc = L.gen
     for j in range(1, s + 1):
         acc = la.space_intersect(acc, L.gen.frob(-j))
-    return Code(acc, canonical=True)
+    return Code(acc)
 
 
 def random_code(ctx: FieldCtx, n: int, k: int, rng) -> Code:

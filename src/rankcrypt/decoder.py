@@ -70,7 +70,7 @@ class PreparedCode:
     H: MatFqm
     Ht: MatFqm
 
-    def decode(self, y: list[int], retry_all: bool = False) -> DecodeResult:
+    def decode(self, y: list[int]) -> DecodeResult:
         """Decode y against C at rank radius t; see decode()."""
         ctx, n, t, H = self.C.ctx, self.C.n, self.t, self.H
         if len(y) != n:
@@ -86,7 +86,7 @@ class PreparedCode:
         if pkernel.rows == 0:
             return DecodeResult("no_annihilator")
 
-        for pcoeffs in pkernel.data if retry_all else pkernel.data[:1]:
+        for pcoeffs in pkernel.data:
             hit = _error_over_kernel(ctx, H, y, syndrome, LinPoly(ctx, pcoeffs))
             if hit is not None:
                 return DecodeResult("decoded", *hit)
@@ -101,15 +101,15 @@ def prepare(C: Code, t: int) -> PreparedCode:
     return PreparedCode(C, t, la.right_kernel(C.gen), Ht)
 
 
-def decode(C: Code, y: list[int], t: int, retry_all: bool = False) -> DecodeResult:
+def decode(C: Code, y: list[int], t: int) -> DecodeResult:
     """Decode y against C at rank radius t: prepare(C, t).decode(y).
 
+    Step 2 is tried with each vector of the step-1 kernel basis in turn.
     Returns no_annihilator when step 1 admits only P = 0 and
-    no_error_solution when no error over ker(P) matches the syndrome;
-    retry_all retries step 2 over the whole step-1 kernel basis instead of
-    just its first vector.
+    no_error_solution when no error over ker(P) matches the syndrome for
+    any of them.
     """
-    return prepare(C, t).decode(y, retry_all)
+    return prepare(C, t).decode(y)
 
 
 def _error_over_kernel(ctx, H, y, syndrome, P):

@@ -136,8 +136,8 @@ def _nibble_table(a: int) -> tuple[int, ...]:
 class FieldCtx:
     """Shared interface of binary and odd-prime field contexts.
 
-    Elements are reduced ints in [0, q^m); `zero` is 0 and `one` is 1; the
-    residue class of x is the int q.
+    Elements are reduced ints in [0, q^m); `zero` is 0 and `one` is 1; for
+    m > 1 the residue class of x is the int q.
     """
 
     q: int
@@ -148,10 +148,6 @@ class FieldCtx:
 
     zero = 0
     one = 1
-
-    @property
-    def x(self) -> int:
-        return self.q if self.m > 1 else self._x_reduced  # type: ignore[attr-defined]
 
     # -- subclass interface -------------------------------------------------
     def add(self, a: int, b: int) -> int:
@@ -197,9 +193,6 @@ class FieldCtx:
             imgs = [self._apply_frob(prev, v) for v in self._frob_imgs[1]]
             self._frob_imgs[i] = imgs
         return imgs
-
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
 
     def power(self, a: int, e: int) -> int:
         if e < 0:
@@ -277,7 +270,6 @@ class _BinaryCtx(FieldCtx):
         for i, c in enumerate(modulus):
             f |= (c & 1) << i
         self._f = f
-        self._x_reduced = _b_mod(2, f)
         # reduction tables: red[j][v] = (v << (m + 4j)) mod f
         nred = max(1, (m + 2) // 4)  # covers product bits m .. 2m-2
         self._red = []
@@ -475,7 +467,6 @@ class _PrimeCtx(FieldCtx):
             acc = _l_mulmod(acc, xq, self._f, q)
         # imgs1[j] should be (x^j)^q = (x^q)^j
         self._frob_imgs: dict[int, list[int]] = {1: imgs1}
-        self._x_reduced = self._enc(_l_mod([0, 1], self._f, q))
 
     def _dec(self, a: int) -> list[int]:
         q = self.q

@@ -130,10 +130,9 @@ class GptPublicKey:
 
 
 def keygen(
-    params: GptParams, rng, s_free: bool = False, tw: TwistParams | None = None
+    params: GptParams, rng, tw: TwistParams | None = None
 ) -> tuple[GptSecretKey, GptPublicKey]:
-    """Sample a key pair; s_free uses S = I (the public row space is the
-    same either way, so S carries no security).
+    """Sample a key pair.
 
     An explicit tw overrides the evenly-spaced twist sampler, for twisted
     shapes where (n-k-ell)/(ell+1) is not an integer."""
@@ -152,7 +151,7 @@ def keygen(
         G_sec = twisted_moore_matrix(ctx, g, k, tw)
     else:
         G_sec = moore_matrix(ctx, g, k)
-    S = MatFqm.identity(ctx, k) if s_free else la.random_invertible_matfqm(ctx, k, rng)
+    S = la.random_invertible_matfqm(ctx, k, rng)
     X = la.random_rank_s_matfqm(ctx, k, params.lam, params.s, rng)
     P = la.random_gl(ctx.q, n + params.lam, rng)
 
@@ -187,7 +186,7 @@ def decrypt(sk: GptSecretKey, c: list[int]) -> list[int]:
         raise ValueError("ciphertext length mismatch")
     plan = sk.plan
     y = la.vec_mat(ctx, c, plan.P_inv)[lam:]
-    res = plan.code.decode(y, retry_all=True)
+    res = plan.code.decode(y)
     if not res.ok:
         raise DecryptError(res.status)
     cw = res.codeword

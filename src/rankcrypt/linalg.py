@@ -396,12 +396,6 @@ class MatFq:
             out.append(acc)
         return MatFq(q, out, other.cols)
 
-    def lift(self, ctx: FieldCtx) -> MatFqm:
-        """View over F_{q^m}; entries are already valid encodings."""
-        if ctx.q != self.q:
-            raise ValueError("base field mismatch")
-        return MatFqm(ctx, self.data, self.cols)
-
     def inverse(self) -> "MatFq":
         if self.rows != self.cols:
             raise ValueError("not square")
@@ -483,26 +477,21 @@ def _pivot_cols(data: list[list[int]], cols: int) -> list[int]:
     return out
 
 
-def rref(M, trim: bool = False):
-    """Reduced row echelon form.
+def rref(M):
+    """Reduced row echelon form with the zero rows dropped.
 
-    Returns (R, rank, pivot_columns).  With trim=True the zero rows are
-    dropped from R.  Works on MatFqm and MatFq.
+    Returns (R, rank, pivot_columns).  Works on MatFqm and MatFq.
     """
     if isinstance(M, MatFqm):
         data = [list(r) for r in M.data]
         rank = _rref_rows_fqm(data, M.ctx, M.cols)
         pivs = _pivot_cols(data, M.cols)
-        if trim:
-            data = data[:rank]
-        return MatFqm(M.ctx, data, M.cols), rank, pivs
+        return MatFqm(M.ctx, data[:rank], M.cols), rank, pivs
     if isinstance(M, MatFq):
         data = [list(r) for r in M.data]
         rank = _rref_rows_fq(data, M.q, M.cols)
         pivs = _pivot_cols(data, M.cols)
-        if trim:
-            data = data[:rank]
-        return MatFq(M.q, data, M.cols), rank, pivs
+        return MatFq(M.q, data[:rank], M.cols), rank, pivs
     raise TypeError(f"rref does not handle {type(M).__name__}")
 
 
@@ -521,7 +510,7 @@ def right_kernel(M):
     Deterministic: one basis vector per free column of the RREF, in
     column order, with a 1 in the free position.
     """
-    R, rk, pivs = rref(M, trim=True)
+    R, rk, pivs = rref(M)
     ncols = M.cols
     free = [j for j in range(ncols) if j not in set(pivs)]
     if isinstance(M, MatFqm):
@@ -823,13 +812,8 @@ def solve_left(A: MatFqm, B: MatFqm) -> MatFqm | None:
 
 def canonical(M: MatFqm) -> MatFqm:
     """Canonical form of the row space: trimmed RREF."""
-    R, _, _ = rref(M, trim=True)
+    R, _, _ = rref(M)
     return R
-
-
-def space_sum(A: MatFqm, B: MatFqm) -> MatFqm:
-    A._check(B, cols=True)
-    return canonical(A.vstack(B))
 
 
 def space_intersect(A: MatFqm, B: MatFqm) -> MatFqm:
@@ -837,16 +821,6 @@ def space_intersect(A: MatFqm, B: MatFqm) -> MatFqm:
     dual = right_kernel(A).vstack(right_kernel(B))
     return canonical(right_kernel(dual))
 
-
-def space_eq(A: MatFqm, B: MatFqm) -> bool:
-    return canonical(A) == canonical(B)
-
-
-def space_contains(A: MatFqm, B: MatFqm) -> bool:
-    """Is the row space of B inside the row space of A?"""
-    A._check(B, cols=True)
-    ech = _FqmEchelon(A.ctx, A.cols, A.data)
-    return all(ech.contains(r) for r in B.data)
 
 
 # -- random samplers -------------------------------------------------------

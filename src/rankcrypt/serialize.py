@@ -116,26 +116,6 @@ def twist_from_json(ctx: FieldCtx, obj: dict) -> TwistParams:
     )
 
 
-def code_to_json(C: Code) -> dict:
-    ctx = C.ctx
-    return {
-        "field": ctx.to_json(),
-        "n": C.n,
-        "k": C.k,
-        "gen": [ctx.to_hex(a) for row in C.gen.data for a in row],
-    }
-
-
-@_reader
-def code_from_json(obj: dict) -> Code:
-    ctx = field_from_json(obj["field"])
-    n, k = int(obj["n"]), int(obj["k"])
-    flat = [ctx.from_hex(s) for s in obj["gen"]]
-    if len(flat) != n * k:
-        raise ValueError("generator entry count mismatch")
-    return Code(MatFqm(ctx, [flat[i * n : (i + 1) * n] for i in range(k)], n))
-
-
 # -- parameters and keys ------------------------------------------------------
 
 
@@ -187,8 +167,8 @@ def secret_key_to_json(sk: GptSecretKey) -> dict:
 
 @_reader
 def secret_key_from_json(obj: dict) -> GptSecretKey:
-    """Read a secret key, checking the shapes keygen produces: S is k x k,
-    X is k x lambda, P is invertible of size n + lambda over F_q, g has n
+    """Read a secret key, checking the shapes keygen produces: S is invertible
+    of size k, X is k x lambda, P is invertible of size n + lambda over F_q, g has n
     entries, and t is within the decoding radius of the secret code."""
     _check_format(obj)
     params = params_from_json(obj["params"])
@@ -208,6 +188,8 @@ def secret_key_from_json(obj: dict) -> GptSecretKey:
     _check_shape("P", sk.P, n + lam, n + lam)
     if sk.P.q != ctx.q:
         raise ValueError(f"P is over F_{sk.P.q}, expected F_{ctx.q}")
+    if la.rank(sk.S) != k:
+        raise ValueError("S is singular")
     if la.rank(sk.P) != n + lam:
         raise ValueError("P is singular")
     if len(sk.g) != n:
@@ -232,10 +214,14 @@ def public_key_to_json(pk: GptPublicKey) -> dict:
 
 @_reader
 def public_key_from_json(obj: dict) -> GptPublicKey:
+    """Read a public key; G_pub must be k x (n + lambda) of rank k."""
     _check_format(obj)
     params = params_from_json(obj["params"])
     G_pub = matfqm_from_json(params.ctx, obj["public"]["G_pub"])
     _check_shape("G_pub", G_pub, params.k, params.n + params.lam)
+    rank = la.rank(G_pub)
+    if rank != params.k:
+        raise ValueError(f"G_pub has rank {rank}, expected {params.k}")
     return GptPublicKey(params, G_pub)
 
 

@@ -9,7 +9,6 @@ from rankcrypt.attack import (
     attack_extension,
     attack_overbeck,
     find_rank_n_idempotent,
-    split_probe,
     stabilizer,
 )
 from rankcrypt.codes import Code, gabidulin, qsum, random_code
@@ -196,20 +195,19 @@ def test_attack_reads_only_public_data():
     assert rep.success and rep.recovered == msg
 
 
-def test_split_probe_families():
-    # MRD codes never split
+def test_stabilizer_splits_block_diagonal_code_only():
+    # MRD codes never split: the stabilizer is the scalars alone
     ctx = field(2, 12)
     rng = make_rng(504)
     C = gabidulin(ctx, la.random_independent_vec(ctx, 8, rng), 3)
-    assert split_probe(C) == ("not_split", 1)
+    assert stabilizer(C).dim == 1
     # block-diagonal construction splits by construction
     A = random_code(ctx, 5, 2, rng)
     B = random_code(ctx, 6, 2, rng)
     ZA = MatFqm.zeros(ctx, 2, 6)
     ZB = MatFqm.zeros(ctx, 2, 5)
     D = Code(A.gen.hstack(ZA).vstack(ZB.hstack(B.gen)))
-    verdict, dim = split_probe(D)
-    assert verdict == "split" and dim >= 2
+    assert la.rank(find_rank_n_idempotent(stabilizer(D), 5)) == 5
 
 
 def test_block_diagonal_stabilizer_blocks_are_conductors():
@@ -240,11 +238,7 @@ def test_extension_saturation_reported():
     pk = GptPublicKey(params, C.gen)
     rep = attack_extension(pk, [ctx.random(rng) for _ in range(12)], i_max=4)
     assert not rep.success
-    assert rep.failure in {
-        "qsum_saturated",
-        "stabilizer_trivial",
-        "no_split_found",
-    } or rep.failure.startswith(("general_decomposition", "decode_", "no_", "idempotent"))
+    assert rep.failure == "qsum_saturated" and rep.stab_dim == 1
 
 
 def test_overbeck_rejects_length_mismatch():

@@ -158,6 +158,21 @@ def test_attack_rejects_wrong_generator_shape(tmp_path, capsys):
     assert len(err) == 1 and json.loads(err[0])["kind"] == "usage"
 
 
+def test_rejects_rank_deficient_public_key(tmp_path, capsys):
+    pk, _ = _keygen(tmp_path)
+    ct = str(tmp_path / "ct.json")
+    assert run("encrypt", "--in", pk, "--seed", "7", "--out", ct) == 0
+    obj = json.loads(open(pk).read())
+    G = obj["public"]["G_pub"]  # row 1 becomes a copy of row 0
+    c = G["cols"]
+    G["entries"][c : 2 * c] = G["entries"][:c]
+    json.dump(obj, open(pk, "w"))
+    assert _usage_error(capsys, "encrypt", "--in", pk, "--seed", "7",
+                        "--out", str(tmp_path / "ct2.json"))
+    for mode in ("overbeck", "extension"):
+        assert _usage_error(capsys, "attack", "--in", pk, "--in", ct, "--mode", mode), mode
+
+
 def _usage_error(capsys, *argv):
     """Run argv, expecting exit 2 and one JSON line of kind usage on stderr."""
     capsys.readouterr()
@@ -205,6 +220,15 @@ def test_decrypt_rejects_wrong_secret_matrix_shapes(tmp_path, capsys):
 
     assert _decrypt_tampered(tmp_path / "s", capsys, tamper_sk=drop_row)
     assert _decrypt_tampered(tmp_path / "x", capsys, tamper_sk=drop_col)
+
+
+def test_decrypt_rejects_singular_s(tmp_path, capsys):
+    def tamper(obj):  # row 1 of S becomes a copy of row 0
+        S = obj["secret"]["S"]
+        c = S["cols"]
+        S["entries"][c : 2 * c] = S["entries"][:c]
+
+    assert _decrypt_tampered(tmp_path, capsys, tamper_sk=tamper)
 
 
 def test_decrypt_rejects_radius_above_decoding_radius(tmp_path, capsys):

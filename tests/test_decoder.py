@@ -169,18 +169,6 @@ def test_subspace_bases_complete_and_canonical(derived):
         assert len(spans) == want  # all distinct
 
 
-def test_retry_all_never_worse():
-    ctx = field(2, 20)
-    for seed in range(20):
-        rng = derive_rng(312, seed)
-        C = gabidulin(ctx, la.random_independent_vec(ctx, 14, rng), 6)
-        cw, e, y = _planted(ctx, C, 4, rng)
-        plain = decode(C, y, 4)
-        retry = decode(C, y, 4, retry_all=True)
-        if plain.ok:
-            assert retry.ok and retry.codeword == plain.codeword
-
-
 def _error_over_support_expanded(ctx, H, syndrome, kappa, n):
     """Step 2 through the expanded MatFq system: the reference for the
     bit-packed q=2 path."""
@@ -235,8 +223,7 @@ def test_prepared_code_decodes_like_decode():
     for t in (2, 4, 5):
         for _ in range(3):
             _, _, y = _planted(ctx, C, t, rng)
-            for retry_all in (False, True):
-                assert P.decode(y, retry_all) == decode(C, y, 4, retry_all)
+            assert P.decode(y) == decode(C, y, 4)
     with pytest.raises(ValueError):
         prepare(C, 0)
     with pytest.raises(ValueError):

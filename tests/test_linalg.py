@@ -183,8 +183,6 @@ def test_subspace_ops_contract():
     Z = MatFqm.zeros(ctx, 0, 7)
     assert la.space_intersect(A, A) == A
     assert la.space_intersect(A, Z).rows == 0
-    assert la.space_eq(la.space_sum(A, A), A)
-    assert la.space_contains(A, A)
 
 
 def test_intersection_matches_enumeration(derived):
@@ -201,7 +199,7 @@ def test_dimension_formula():
     for _ in range(60):
         A = la.canonical(MatFqm.random(ctx, 2, 5, rng))
         B = la.canonical(MatFqm.random(ctx, 3, 5, rng))
-        s = la.space_sum(A, B).rows
+        s = la.rank(A.vstack(B))
         i = la.space_intersect(A, B).rows
         assert s + i == A.rows + B.rows
 
@@ -236,7 +234,7 @@ def test_matmul_mixed_operands():
     M = MatFqm.random(ctx, 3, 5, rng)
     P = la.random_gl(2, 5, rng)
     direct = M @ P
-    lifted = M @ P.lift(ctx)
+    lifted = M @ MatFqm(ctx, P.data, P.cols)
     assert direct == lifted
 
 

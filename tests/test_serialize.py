@@ -60,13 +60,6 @@ def test_ciphertext_and_message_roundtrip():
     assert ser.message_from_json(ctx, ser.message_to_json(ctx, msg)) == msg
 
 
-def test_code_roundtrip():
-    ctx = field(2, 16)
-    C = random_code(ctx, 10, 4, make_rng(604))
-    C2 = ser.code_from_json(ser.code_to_json(C))
-    assert C2 == C and C2.ctx == C.ctx
-
-
 def test_report_serialization():
     ctx = field(2, 28)
     params = GptParams(ctx, n=24, k=12, lam=6, s=1)

@@ -168,7 +168,6 @@ def test_mutated_ciphertexts_and_messages_fail_only_with_value_error(material, d
 def test_non_object_artifacts_raise_value_error(junk):
     ctx = FIELDS[2]
     for read in (ser.params_from_json, ser.secret_key_from_json, ser.public_key_from_json,
-                 ser.code_from_json,
                  lambda o: ser.ciphertext_from_json(ctx, o),
                  lambda o: ser.message_from_json(ctx, o)):
         with pytest.raises(ValueError):
