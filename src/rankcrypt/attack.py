@@ -200,7 +200,7 @@ def _violation_finder(ctx, G: MatFqm, H: MatFqm, pivots: list[int], free: list[i
     direct = H.rows <= G.rows  # L = G, else L = H and M' = M^T
     L, R, ident, rest = (G, H, pivots, free) if direct else (H, G, free, pivots)
     width = R.rows
-    Rt = _block_bits(ctx, R, list(range(N))).transpose(1, 0, 2).reshape(N, width * m)
+    Rt = la._matrix_bits(ctx, R).transpose(1, 0, 2).reshape(N, width * m)
     Rt = Rt.astype(np.float32)
     Lrest = _block_bits(ctx, L, rest)
 

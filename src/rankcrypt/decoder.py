@@ -6,7 +6,10 @@ linearized polynomial P of q-degree <= t with H_t P(y)^T = 0, H_t a parity
 check of Lambda_t(C); any such P annihilates the error when the radius
 condition dim Lambda_t(C) + t <= n holds.  Step 2 writes the error with
 coordinates confined to ker(P) and solves the resulting F_q system against
-the parity check H of C (at q=2 bit-packed straight into the F_2 solver).
+the parity check H of C.  At q=2 step 1's product H_t (y, y^q, ...)^T
+runs on coefficient bit planes (MatFqm @), and step 2 builds its F_2
+system with no F_{2^m} arithmetic, as one bit-plane product of ker(P)'s
+basis by the entries of H, and bulk-loads it into the F_2 echelon.
 What the pair of steps actually decodes is the t-closure of C; for
 Gabidulin codes and radii below (n-k)/2 that closure is C itself.
 
@@ -26,6 +29,8 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import linalg as la
 from .codes import Code, _qsum_echelon, qsum
@@ -129,15 +134,20 @@ def _error_over_support(ctx, H, syndrome, kappa, n):
     """Error e of length n with every e_i in span_Fq(kappa) and
     H e^T = syndrome, free variables zero; None if there is none.
 
-    Unknown c*r + rho is the F_q coefficient of kappa[rho] in e_c."""
+    Unknown c*r + rho is the F_q coefficient of kappa[rho] in e_c.  At q=2
+    the F_q system is built on bit planes (_bit_system); at odd q it is
+    expanded from F_{q^m} rows by linalg.fq_solve."""
     r = len(kappa)
-    rows = []
-    for hrow in H.data:
-        row = [0] * (n * r)
-        for rho, kp in enumerate(kappa):
-            row[rho::r] = ctx.mul_row(kp, hrow)
-        rows.append(row)
-    x = la.fq_solve(ctx, rows, syndrome, n * r)
+    if ctx.q == 2:
+        x = la._solve_bits(_bit_system(ctx, H, syndrome, kappa), n * r)
+    else:
+        rows = []
+        for hrow in H.data:
+            row = [0] * (n * r)
+            for rho, kp in enumerate(kappa):
+                row[rho::r] = ctx.mul_row(kp, hrow)
+            rows.append(row)
+        x = la.fq_solve(ctx, rows, syndrome, n * r)
     if x is None:
         return None
     e = []
@@ -146,9 +156,29 @@ def _error_over_support(ctx, H, syndrome, kappa, n):
         for rho in range(r):
             s = x[c * r + rho]
             if s:
-                acc = ctx.add(acc, ctx.mul(s, kappa[rho]))
+                acc = ctx.add(acc, kappa[rho] if s == 1 else ctx.mul(s, kappa[rho]))
         e.append(acc)
     return e
+
+
+def _bit_system(ctx, H, syndrome, kappa) -> np.ndarray:
+    """q=2: step 2's F_2 system, packed 8 columns per byte, with no F_{2^m}
+    arithmetic.  Row j m + t (expand_fq_system's order) holds bit t of
+    kappa[rho] H[j][c] in column c r + rho and bit t of syndrome[j] in
+    column n r: one linalg._clmul_planes product of kappa by the entries of
+    H."""
+    m, r = ctx.m, len(kappa)
+    nk, n = H.rows, H.cols
+    planes = la._clmul_planes(  # planes[t, rho, j n + c]
+        ctx, la._coeff_bits(ctx, kappa)[:, None], la._matrix_bits(ctx, H).reshape(1, nk * n, m)
+    )
+    # one more block of r columns after the n of the unknowns: the syndrome
+    # bit is its first column, the rest stay zero and are cut off once packed
+    system = np.zeros((nk, m, n + 1, r), dtype=np.uint8)
+    system[:, :, :n] = planes.reshape(m, r, nk, n).transpose(2, 0, 3, 1)
+    system[:, :, n, 0] = la._coeff_bits(ctx, syndrome)
+    packed = np.packbits(system.reshape(nk * m, (n + 1) * r), axis=1, bitorder="little")
+    return packed[:, : n * r // 8 + 1]
 
 
 # -- support-enumeration oracle -------------------------------------------

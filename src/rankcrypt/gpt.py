@@ -16,7 +16,10 @@ columns of a codeword.  The plan is built on the first decrypt and reused
 by every later one; it is not part of the key's fields, so it is never
 serialized, and a key read back from JSON builds the same plan on its own
 first decrypt.  The key reader checks t with the prepared code, which the
-plan then reuses.
+plan then reuses.  At q=2 the matrix and vector products of keygen,
+encrypt and decrypt (S (X | G_sec) P, S G_sec, m G_pub, c P^-1, the
+readout) and the decoder's systems run on coefficient bit planes (see
+linalg), with results identical to field arithmetic.
 
 The error radius t defaults to the measured decoding radius of the sampled
 secret code: floor((n-k)/2) for Gabidulin, and whatever the q-sum dimension

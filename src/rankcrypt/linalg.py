@@ -17,7 +17,10 @@ kernel (fq_kernel) and to one of their solutions (fq_solve), rank-metric
 weights (rank_fq), and the random samplers used by key generation.  At q=2
 it also multiplies F_{2^m} matrices held as coefficient bit planes
 (_clmul_planes, exact float32 BLAS products) and bulk-loads packed F_2 rows
-into an echelon (_BitEchelon.load); the stabilizer attack uses both.
+into an echelon (_BitEchelon.load, solved by _solve_bits).  Every q=2
+product of a MatFqm, vec_mat and mat_vec included, runs on bit planes:
+through _clmul_planes, or _f2_matmul for a right factor over F_2.  The
+decoder's error solve and the stabilizer attack use both tools.
 """
 
 from __future__ import annotations
@@ -82,8 +85,9 @@ class _FqmEchelon:
 
 class _BitEchelon:
     """Incremental row echelon over F_2 with rows packed into ints (bit j =
-    column j).  The workhorse for rank_fq, fq_kernel and fq_solve at q=2,
-    and for the stabilizer's probe system in the attack module."""
+    column j).  The workhorse for rank_fq and fq_kernel at q=2, for the
+    decoder's error solve (_solve_bits) and for the stabilizer's probe
+    system in the attack module."""
 
     def __init__(self, width: int):
         self.width = width
@@ -267,7 +271,8 @@ class MatFqm:
 
     def __matmul__(self, other) -> "MatFqm":
         # MatFq entries are constants of F_{q^m} under the integer encoding,
-        # so a mixed product reads other.data directly.
+        # so a mixed product reads other.data directly.  At q=2 the product
+        # runs on coefficient bit planes (_clmul_planes).
         if isinstance(other, MatFq):
             if other.q != self.ctx.q:
                 raise ValueError("base field mismatch")
@@ -278,6 +283,17 @@ class MatFqm:
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
         ctx = self.ctx
+        if ctx.q == 2:
+            P, Q = self.rows, other.cols
+            bits = _matrix_bits(ctx, self)
+            if isinstance(other, MatFq):
+                # F_2 entries: plane t of the product is plane t of self times other
+                B = np.array(other.data, dtype=np.float32).reshape(other.rows, Q)
+                planes = _f2_matmul(bits.transpose(2, 0, 1), B)
+            else:
+                planes = _clmul_planes(ctx, bits, _matrix_bits(ctx, other))
+            entries = _pack_rows(planes.reshape(ctx.m, P * Q).T)
+            return MatFqm(ctx, [entries[p * Q : (p + 1) * Q] for p in range(P)], Q)
         out = []
         for arow in self.data:
             acc = [0] * other.cols
@@ -531,9 +547,12 @@ def right_kernel(M):
 
 
 def vec_mat(ctx: FieldCtx, v: list[int], M) -> list[int]:
-    """Row vector times matrix over F_{q^m} (M may be MatFq)."""
+    """Row vector times matrix over F_{q^m} (M may be MatFq); at q=2 a
+    one-row product on bit planes."""
     if len(v) != M.rows:
         raise ValueError("shape mismatch")
+    if ctx.q == 2:
+        return (MatFqm(ctx, [v], M.rows) @ M).data[0]
     acc = [0] * M.cols
     for i, a in enumerate(v):
         if a:
@@ -542,9 +561,12 @@ def vec_mat(ctx: FieldCtx, v: list[int], M) -> list[int]:
 
 
 def mat_vec(ctx: FieldCtx, M, v: list[int]) -> list[int]:
-    """Matrix times column vector, returned as a list (M may be MatFq)."""
+    """Matrix times column vector, returned as a list (M may be MatFq); at
+    q=2 and M over F_{2^m} a one-column product on bit planes."""
     if len(v) != M.cols:
         raise ValueError("shape mismatch")
+    if ctx.q == 2 and isinstance(M, MatFqm):
+        return [r[0] for r in (M @ MatFqm(ctx, [[a] for a in v], 1)).data]
     return [dot(ctx, row, v) for row in M.data]
 
 
@@ -618,25 +640,9 @@ def fq_kernel(ctx: FieldCtx, rows, width: int) -> MatFq:
 
 def fq_solve(ctx: FieldCtx, rows: list[list[int]], rhs: list[int], width: int):
     """One x in F_q^width with sum_j r_j x_j = s for every F_{q^m} row r and
-    its right-hand side s, or None; equal to
-    solve_fq(*expand_fq_system(MatFqm(ctx, rows, width), rhs)).
-
-    At q=2 the bit-rows go straight to the F_2 solver, in the order
-    expand_fq_system emits them, with the right-hand side bit at position
-    width.
-    """
-    if ctx.q != 2:
-        return solve_fq(*expand_fq_system(MatFqm(ctx, rows, width), rhs))
-    if len(rhs) != len(rows):
-        raise ValueError("rhs length mismatch")
-    return _solve_bits(
-        (
-            bits | (s >> t & 1) << width
-            for row, s in zip(rows, rhs)
-            for t, bits in enumerate(_bit_rows(ctx, row))
-        ),
-        width,
-    )
+    its right-hand side s, or None: solve_fq(*expand_fq_system(...)).  The
+    decoder's q=2 systems skip the F_{q^m} rows and go to _solve_bits."""
+    return solve_fq(*expand_fq_system(MatFqm(ctx, rows, width), rhs))
 
 
 def _bit_rows(ctx: FieldCtx, row: list[int]) -> list[int]:
@@ -651,6 +657,12 @@ def _coeff_bits(ctx: FieldCtx, row: list[int]) -> np.ndarray:
     buf = b"".join(a.to_bytes(nbytes, "little") for a in row)
     arr = np.frombuffer(buf, dtype=np.uint8).reshape(len(row), nbytes)
     return np.unpackbits(arr, axis=1, bitorder="little")[:, : ctx.m]
+
+
+def _matrix_bits(ctx: FieldCtx, M) -> np.ndarray:
+    """q=2: the coefficient bits of the entries of M (MatFqm or MatFq),
+    shape (rows, cols, m)."""
+    return _coeff_bits(ctx, [e for r in M.data for e in r]).reshape(M.rows, M.cols, ctx.m)
 
 
 def _pack_rows(bits: np.ndarray) -> list[int]:
@@ -668,10 +680,14 @@ def _outer_bit_rows(ctx: FieldCtx, x: list[int], y: list[int]) -> list[int]:
     return _pack_rows(planes.reshape(ctx.m, len(x) * len(y)))
 
 
-# Byte bound on the Toeplitz block of one _clmul_planes step (at least one
-# entry's m x (2m-1) block).  Larger blocks mean fewer BLAS calls but a
-# higher peak RSS.
+# Byte bound on the Toeplitz block, and on the block of sums, of one
+# _clmul_planes step (at least one entry's m x (2m-1) block, and one row of
+# sums).  Larger blocks mean fewer BLAS calls but a higher peak RSS.
 _CLMUL_BLOCK_BYTES = 1 << 16
+
+# float32 represents every integer up to 2^24 exactly; _clmul_planes keeps
+# each of its sums at or below this bound.
+_CLMUL_EXACT = 1 << 24
 
 
 def _clmul_planes(ctx: FieldCtx, A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -684,31 +700,60 @@ def _clmul_planes(ctx: FieldCtx, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     A against the Toeplitz layout of B give the unreduced carry-less
     products (coefficients 0 .. 2m-2, summed over a), and those against
     the (2m-1) x m table of the bits of x^s mod f give the reduced ones;
-    both are read mod 2.  For K > 1 the first product is taken mod 2 before
-    the second, so every sum is an integer of at most max(K, 2m-1) m, which
-    float32 holds exactly below 2^24 (the largest at m=192 is 383 * 192 =
-    73536).  Each Toeplitz block is capped at _CLMUL_BLOCK_BYTES by splitting
-    over a and over the columns of B.
+    both are read mod 2.  Every sum stays an integer of at most
+    _CLMUL_EXACT, below which float32 is exact: each a adds at most m to a
+    running sum of the first product, which is taken mod 2 whenever the
+    next block of a could push it past that bound, and once more before the
+    second product if its sums (w times the running bound) could.
+
+    The Toeplitz layout goes on the operand with fewer entries (through
+    (A B)^T = B^T A^T when that is A), so a thin product such as one row
+    times a long row takes a few large BLAS calls, not one per entry.  Each
+    Toeplitz block, and each block of sums, is capped at _CLMUL_BLOCK_BYTES
+    by splitting over a, the columns of B and the rows of A.
     """
     m = ctx.m
     P, K, _ = A.shape
     Q = B.shape[1]
+    if Q > P:  # lay out the operand with fewer entries: (A B)^T = B^T A^T
+        At, Bt = A.transpose(1, 0, 2), B.transpose(1, 0, 2)
+        return _clmul_planes(ctx, Bt, At).transpose(0, 2, 1)
     w = 2 * m - 1
     red = _reduction_table(m, ctx.modulus)
     X = A.reshape(P, K * m).astype(np.float32)
     blocks = max(1, _CLMUL_BLOCK_BYTES // (4 * m * w))  # (a, q) entries per block
     qc = max(1, blocks // max(K, 1))
     ka = max(1, min(K, blocks // qc))
+    pc = max(1, _CLMUL_BLOCK_BYTES // (4 * qc * w))  # rows of X per block of sums
+    step = ka * m  # bound on what one block of a adds to an entry of S
     out = np.empty((m, P, Q), dtype=np.uint8)
     for q0 in range(0, Q, qc):
         q1 = min(Q, q0 + qc)
-        S = X[:, : ka * m] @ _toeplitz(B[:ka, q0:q1])
-        for a0 in range(ka, K, ka):
-            S += X[:, a0 * m : (a0 + ka) * m] @ _toeplitz(B[a0 : a0 + ka, q0:q1])
-        if K > 1:
-            S = _mod2(S).astype(np.float32)
-        Z = _mod2(S.reshape(P * (q1 - q0), w) @ red)
-        out[:, :, q0:q1] = Z.reshape(P, q1 - q0, m).transpose(2, 0, 1)
+        first = _toeplitz(B[:ka, q0:q1])
+        for p0 in range(0, P, pc):
+            p1 = min(P, p0 + pc)
+            S = X[p0:p1, : ka * m] @ first
+            top = step  # bound on the entries of S
+            for a0 in range(ka, K, ka):
+                if top + step > _CLMUL_EXACT:
+                    S = _mod2(S).astype(np.float32)
+                    top = 1
+                S += X[p0:p1, a0 * m : (a0 + ka) * m] @ _toeplitz(B[a0 : a0 + ka, q0:q1])
+                top += step
+            if top * w > _CLMUL_EXACT:
+                S = _mod2(S).astype(np.float32)
+            Z = _mod2(S.reshape((p1 - p0) * (q1 - q0), w) @ red)
+            out[:, p0:p1, q0:q1] = Z.reshape(p1 - p0, q1 - q0, m).transpose(2, 0, 1)
+    return out
+
+
+def _f2_matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """The product mod 2 of 0/1 arrays A (..., K) and float32 B (K, Q), as
+    int32: exact float32 products over at most _CLMUL_EXACT terms each."""
+    K, E = B.shape[0], _CLMUL_EXACT
+    out = _mod2(A[..., :E].astype(np.float32) @ B[:E])
+    for a0 in range(E, K, E):
+        out ^= _mod2(A[..., a0 : a0 + E].astype(np.float32) @ B[a0 : a0 + E])
     return out
 
 
@@ -756,7 +801,7 @@ def solve_fq(A: MatFq, b: list[int]) -> list[int] | None:
     """One solution of A x = b over F_q, or None if inconsistent.
 
     Deterministic: free variables are set to zero.  Plain RREF for every q;
-    F_{q^m}-linear systems go through fq_solve, which is bit-packed at q=2.
+    the decoder's q=2 systems are packed and go to _solve_bits instead.
     """
     if len(b) != A.rows:
         raise ValueError("shape mismatch")
@@ -772,12 +817,12 @@ def solve_fq(A: MatFq, b: list[int]) -> list[int] | None:
     return x
 
 
-def _solve_bits(rows, cols: int) -> list[int] | None:
-    """F_2 solve of rows packed as ints with the right-hand side at bit
-    position `cols`; None if inconsistent, free variables zero."""
+def _solve_bits(rows: np.ndarray, cols: int) -> list[int] | None:
+    """F_2 solve of packed uint8 rows (as _BitEchelon.load takes them) with
+    the right-hand side in column `cols`; None if inconsistent, free
+    variables zero."""
     ech = _BitEchelon(cols + 1)
-    for r in rows:
-        ech.add(r)
+    ech.load(rows)
     if cols in ech.pivots:
         return None  # a row reduced to 0 = 1
     # the right-hand side is a non-pivot column fixed to 1; free variables

@@ -215,6 +215,40 @@ def test_packed_step_two_matches_expanded_system(m):
     assert outcomes == {True, False}
 
 
+def test_no_field_arithmetic_in_q2_products_and_step_two(monkeypatch):
+    ctx = field(2, 28)
+    rng = make_rng(315)
+    n, k = 12, 5
+    H = la.right_kernel(random_code(ctx, n, k, rng).gen)
+    kappa = la.random_independent_vec(ctx, 3, rng)
+    e = [la.dot(ctx, rng.integers(0, 2, 3).tolist(), kappa) for _ in range(n)]
+    syndrome = la.mat_vec(ctx, H, e)
+    # kappa = [1] confines e to F_2^n, whose syndromes H e^T fill at most
+    # n of the (n-k) m dimensions: a random syndrome is inconsistent
+    wrong = [ctx.random(rng) for _ in range(n - k)]
+    assert _error_over_support_expanded(ctx, H, wrong, [1], n) is None
+    want = _error_over_support_expanded(ctx, H, syndrome, kappa, n)
+    calls = []
+
+    def counting(name, method):
+        def wrapper(self, *args):
+            calls.append(name)
+            return method(self, *args)
+
+        return wrapper
+
+    for name in ("mul", "mul_row", "mac_row"):
+        monkeypatch.setattr(type(ctx), name, counting(name, getattr(type(ctx), name)))
+    A, B = MatFqm.random(ctx, 4, 6, rng), MatFqm.random(ctx, 6, 3, rng)
+    A @ B
+    A @ la.MatFq.identity(2, 6)
+    la.vec_mat(ctx, A.data[0], B)
+    la.mat_vec(ctx, A, B.transpose().data[0])
+    assert _error_over_support(ctx, H, syndrome, kappa, n) == want
+    assert _error_over_support(ctx, H, wrong, [1], n) is None
+    assert calls == []
+
+
 def test_prepared_code_decodes_like_decode():
     ctx = field(2, 20)
     rng = make_rng(314)

@@ -1,5 +1,5 @@
 """Frozen outputs: sha256 of the canonical serialized keys, ciphertexts,
-messages and attack reports (without timings_ms) for three seeded runs.
+messages and attack reports (without timings_ms) for four seeded runs.
 
 The digests pin the exact bytes, so any change to the arithmetic, the
 random draw order or the attack pipeline that alters an output shows here,
@@ -67,6 +67,27 @@ def test_golden_q2_m28_low_rank_extension():
     params = GptParams(field(2, 28), n=24, k=12, lam=6, s=1)
     assert _run(params, 1, extension=True) == (
         "417ee16ad89c984bc1e0a98df12ae65178f37304c63bfeef84e0beaca6fc309f"
+    )
+
+
+def test_golden_q2_m104_twisted_two_decrypts():
+    # the headline field: the second decrypt reuses the key's plan
+    params = GptParams(
+        field(2, 104), n=26, k=18, lam=6, s=1, instantiation="twisted", ell=2
+    )
+    ctx = params.ctx
+    rng = derive_rng(9100, 3)
+    sk, pk = keygen(params, rng)
+    records = {"sk": ser.secret_key_to_json(sk), "pk": ser.public_key_to_json(pk), "pairs": []}
+    for _ in range(2):
+        msg = [ctx.random(rng) for _ in range(params.k)]
+        c = encrypt(pk, msg, rng)
+        assert decrypt(sk, c) == msg
+        records["pairs"].append(
+            {"msg": ser.message_to_json(ctx, msg), "ct": ser.ciphertext_to_json(ctx, c)}
+        )
+    assert _digest(records) == (
+        "893206aa42b0cce989230821cfbf65def4f79e636792ddd73edf2c3ddb847bc0"
     )
 
 

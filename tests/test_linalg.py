@@ -122,8 +122,9 @@ def test_solve_fq_consistent_and_inconsistent():
 
 
 def test_fq_solve_matches_solve_fq():
-    # the packed F_2 solve and its back-substitution against the plain
-    # RREF of the expanded system, on consistent and inconsistent systems
+    # fq_solve against the plain RREF of the expanded system, on consistent
+    # and inconsistent systems (the decoder's packed q=2 solve is checked by
+    # test_decoder.test_packed_step_two_matches_expanded_system)
     rng = make_rng(48)
     seen = set()
     for ctx in (field(2, 8), field(2, 28), field(3, 3)):
@@ -289,8 +290,91 @@ def test_clmul_planes_is_the_matrix_product(m, block_bytes, monkeypatch):
         bitsA = la._coeff_bits(ctx, [e for r in A.data for e in r]).reshape(P, K, m)
         bitsB = la._coeff_bits(ctx, [e for r in B.data for e in r]).reshape(K, Q, m)
         planes = la._clmul_planes(ctx, bitsA, bitsB)
-        expected = [e for r in (A @ B).data for e in r]
+        expected = [e for r in _field_product(ctx, A, B) for e in r]
         assert la._pack_rows(planes.reshape(m, P * Q)) == la._bit_rows(ctx, expected)
+
+
+@pytest.mark.parametrize("factor", [1, 3, 40])
+@pytest.mark.parametrize("m", [3, 28, 104])
+def test_products_reduce_before_the_float32_bound(m, factor, monkeypatch):
+    # with the bound lowered to a few times the smallest it can be (one
+    # entry's 2m-1 reduced sums), the running sums of _clmul_planes go
+    # through every mod 2 reduction (before a block of a, before the
+    # reduction table, or neither), and so do the F_2 right operands' sums
+    # over K; no sum handed to _mod2 may exceed the bound
+    exact = factor * (2 * m - 1)
+    monkeypatch.setattr(la, "_CLMUL_EXACT", exact)
+    monkeypatch.setattr(la, "_CLMUL_BLOCK_BYTES", 1)
+    seen = []
+
+    def mod2(S):
+        seen.append(float(S.max()) if S.size else 0.0)
+        return _mod2(S)
+
+    _mod2 = la._mod2
+    monkeypatch.setattr(la, "_mod2", mod2)
+    ctx = field(2, m)
+    rng = make_rng(750 + m)
+    top = (1 << m) - 1
+    K_long = 2 * exact + 1  # F_2 sums over more than two chunks of K
+    for P, K, Q in ((2, 9, 3), (1, 1, 1), (3, 4, 2), (1, K_long, 1)):
+        A = MatFqm(ctx, [[top] * K] + [_entries(ctx, rng, K) for _ in range(P - 1)], K)
+        F = MatFq(2, [[1] * Q for _ in range(K)], Q)
+        assert (A @ F).data == _field_product(ctx, A, F), (P, K, Q)
+        if K == K_long:
+            continue
+        B = MatFqm(ctx, [[top] * Q for _ in range(K)], Q)
+        assert (A @ B).data == _field_product(ctx, A, B), (P, K, Q)
+        B = MatFqm(ctx, [_entries(ctx, rng, Q) for _ in range(K)], Q)
+        assert (A @ B).data == _field_product(ctx, A, B), (P, K, Q)
+    assert seen and max(seen) <= exact
+
+
+def _field_product(ctx, A, B) -> list[list[int]]:
+    """A B entry by entry with the field's own mul and add: the reference
+    for the bit-plane products."""
+    out = []
+    for row in A.data:
+        acc = [0] * B.cols
+        for a, brow in zip(row, B.data):
+            acc = [ctx.add(s, ctx.mul(a, b)) for s, b in zip(acc, brow)]
+        out.append(acc)
+    return out
+
+
+@pytest.mark.parametrize("m", [2, 3, 8, 16, 28, 40, 104, 192])
+def test_matmul_at_q2_is_the_field_product(m):
+    ctx = field(2, m)
+    rng = make_rng(800 + m)
+    top = (1 << m) - 1
+
+    def fqm(rows, cols, fill=None):
+        data = [_entries(ctx, rng, cols) if fill is None else [fill] * cols for _ in range(rows)]
+        return MatFqm(ctx, data, cols)
+
+    def fq(rows, cols, fill=None):
+        if fill is None:
+            return MatFq(2, rng.integers(0, 2, (rows, cols)).tolist(), cols)
+        return MatFq(2, [[fill] * cols for _ in range(rows)], cols)
+
+    # 0 rows, 0 inner, 0 columns, 1 x 1, dense, all-ones; then right
+    # operands random and all-ones, over F_{2^m} and over F_2
+    shapes = [(fqm(0, 3), 4), (fqm(3, 0), 4), (fqm(3, 4), 0), (fqm(1, 1), 1), (fqm(4, 6), 5)]
+    shapes.append((fqm(2, 3, top), 4))
+    for A, Q in shapes:
+        for B in (fqm(A.cols, Q), fqm(A.cols, Q, top), fq(A.cols, Q), fq(A.cols, Q, 1)):
+            got, want = A @ B, _field_product(ctx, A, B)
+            assert (got.rows, got.cols) == (A.rows, Q)
+            assert got.data == want, (A, B)
+            # one row and one column of it through vec_mat and mat_vec
+            if A.rows:
+                assert la.vec_mat(ctx, A.data[0], B) == want[0]
+            if Q:
+                assert la.mat_vec(ctx, A, [r[0] for r in B.data]) == [r[0] for r in want]
+    A = fqm(5, 5)
+    for I in (MatFqm.identity(ctx, 5), MatFq.identity(2, 5)):
+        assert (A @ I).data == A.data
+    assert (MatFqm.identity(ctx, 5) @ A).data == A.data
 
 
 def _random_f2_rows(rng, count, width, density=0.5):
