@@ -6,8 +6,8 @@ Three layers:
     Gabidulin, twisted and random public codes;
   * the classic column-scrambler recovery: when the distortion fills all
     lambda extra coordinates after one q-sum, the F_q-kernel of the dual
-    of Lambda_i(C_pub) exposes a valid scrambler T and the tail of c T^-1
-    is decodable;
+    of Lambda_i(C_pub) exposes a valid scrambler T, and c A is decodable
+    for A the last n columns of T^-1;
   * the stabilizer-algebra attack for the low-rank-distortion case where
     the classic dual-dimension test fails: Lambda_i(C_pub) splits, its
     right stabilizer {M over F_q : Lambda_i(C_pub) M <= Lambda_i(C_pub)}
@@ -34,6 +34,11 @@ layout, then against the table of x^s mod f, read mod 2.  The m bit-rows of
 all probes go to the F_2 echelon in one bulk load (_BitEchelon.load, one
 byte of columns per step), the witness rows one by one.
 
+Both attacks end the same way (_decode_and_recover): the map A they found
+(F, or the last n columns of T^-1) makes a decryption plan out of G_pub A,
+as the key holder's plan is made out of S G_sec (gpt.make_plan), and the
+plan decodes c A and reads the message off.
+
 Nothing here reads secret keys.  Success is verified publicly: the
 recovered message must re-encode to within rank t of the ciphertext.
 """
@@ -47,8 +52,8 @@ from dataclasses import dataclass, field
 
 from . import linalg as la
 from .codes import Code, qsum
-from .decoder import decode
-from .gpt import GptPublicKey
+from .decoder import prepare
+from .gpt import DecryptError, GptPublicKey, make_plan
 from .linalg import MatFq, MatFqm
 from .rng import make_rng
 
@@ -310,17 +315,25 @@ def _phase(tm: dict, name: str):
         tm[name] += (time.perf_counter() - t0) * 1e3
 
 
-def _recover(pk: GptPublicKey, c: list[int], G: MatFqm, codeword: list[int]):
-    """Solve m G = codeword and accept m only when c - m G_pub has rank at
-    most t.  Returns (m, None) or (None, failure reason)."""
-    ctx, t = pk.params.ctx, pk.params.t
-    sol = la.solve_left(G, MatFqm(ctx, [codeword]))
-    if sol is None:
-        return None, "message_solve_failed"
-    msg = sol.data[0]
-    resid = [ctx.sub(a, b) for a, b in zip(c, la.vec_mat(ctx, msg, pk.G_pub))]
-    if la.rank_fq(ctx, resid) > t:
-        return None, "verification_failed"
+def _decode_and_recover(pk: GptPublicKey, c: list[int], A: MatFq, tm: dict):
+    """Decrypt c through the plan of the map A, G_pub A and its code at
+    radius t, and accept the message m only when c - m G_pub has rank at
+    most t.  Returns (m, None) or (None, failure reason); the plan's time
+    goes to tm["decode"], the check's to tm["recover"]."""
+    ctx, k, t = pk.params.ctx, pk.params.k, pk.params.t
+    with _phase(tm, "decode"):
+        G = pk.G_pub @ A
+        C = Code(G)
+        if C.k < k:
+            return None, "projected_generator_rank_deficient"
+        try:
+            msg = make_plan(A, G, prepare(C, t)).decrypt(c)
+        except DecryptError as ex:
+            return None, "decode_" + ex.status
+    with _phase(tm, "recover"):
+        resid = [ctx.sub(a, b) for a, b in zip(c, la.vec_mat(ctx, msg, pk.G_pub))]
+        if la.rank_fq(ctx, resid) > t:
+            return None, "verification_failed"
     return msg, None
 
 
@@ -328,7 +341,7 @@ def attack_extension(pk: GptPublicKey, c: list[int], i_max: int | None = None) -
     """Stabilizer attack: split Lambda_i(C_pub), project by the rank-n
     idempotent, decode the projected ciphertext, verify by re-encoding."""
     params = pk.params
-    ctx, n, k, t = params.ctx, params.n, params.k, params.t
+    n, k = params.n, params.k
     N = n + params.lam
     if len(c) != N:
         raise ValueError("ciphertext length mismatch")
@@ -358,18 +371,7 @@ def attack_extension(pk: GptPublicKey, c: list[int], i_max: int | None = None) -
         except AttackError as ex:
             failure = str(ex)
             continue
-        with _phase(tm, "decode"):
-            CF = Code(C_pub.gen @ F)
-            res = decode(CF, la.vec_mat(ctx, c, F), t)
-        if not res.ok:
-            failure = "decode_" + res.status
-            continue
-        with _phase(tm, "recover"):
-            GF = pk.G_pub @ F
-            if la.rank(GF) < k:
-                msg, failure = None, "projected_generator_rank_deficient"
-            else:
-                msg, failure = _recover(pk, c, GF, res.codeword)
+        msg, failure = _decode_and_recover(pk, c, F, tm)
         if msg is not None:
             return AttackReport("extension", True, msg, None, i, alg.dim, F, tm)
     return AttackReport("extension", False, None, failure, None, stab_dim, None, tm)
@@ -383,7 +385,7 @@ def attack_overbeck(pk: GptPublicKey, c: list[int], rng, i: int = 1) -> AttackRe
     Gabidulin n-k-i), else the distortion is still in the way and the
     attack reports distortion_not_eliminated."""
     params = pk.params
-    ctx, n, k, lam, t = params.ctx, params.n, params.k, params.lam, params.t
+    ctx, n, k, lam = params.ctx, params.n, params.k, params.lam
     ell = params.ell
     N = n + lam
     if len(c) != N:
@@ -411,17 +413,9 @@ def attack_overbeck(pk: GptPublicKey, c: list[int], rng, i: int = 1) -> AttackRe
                 break
         else:
             return fail("no_invertible_completion")
-    Tinv = T.inverse()
-    Gp = (pk.G_pub @ Tinv).take_cols(lam, N)
-    if la.rank(Gp) != k:
-        return fail("stripped_generator_rank_deficient")
-    with _phase(tm, "decode"):
-        y2 = la.vec_mat(ctx, c, Tinv)[lam:]
-        res = decode(Code(Gp), y2, t)
-    if not res.ok:
-        return fail("decode_" + res.status)
-    with _phase(tm, "recover"):
-        msg, failure = _recover(pk, c, Gp, res.codeword)
+    # T^-1 without its first lambda columns strips the distortion block
+    A = MatFq(ctx.q, [row[lam:] for row in T.inverse().data], n)
+    msg, failure = _decode_and_recover(pk, c, A, tm)
     if failure is not None:
         return fail(failure)
     return AttackReport("overbeck_classic", True, msg, None, i, None, None, tm)

@@ -136,7 +136,7 @@ def _error_over_support(ctx, H, syndrome, kappa, n):
 
     Unknown c*r + rho is the F_q coefficient of kappa[rho] in e_c.  At q=2
     the F_q system is built on bit planes (_bit_system); at odd q it is
-    expanded from F_{q^m} rows by linalg.fq_solve."""
+    expanded from F_{q^m} rows (linalg.expand_fq_system) and solved."""
     r = len(kappa)
     if ctx.q == 2:
         x = la._solve_bits(_bit_system(ctx, H, syndrome, kappa), n * r)
@@ -147,7 +147,7 @@ def _error_over_support(ctx, H, syndrome, kappa, n):
             for rho, kp in enumerate(kappa):
                 row[rho::r] = ctx.mul_row(kp, hrow)
             rows.append(row)
-        x = la.fq_solve(ctx, rows, syndrome, n * r)
+        x = la.solve_fq(*la.expand_fq_system(MatFqm(ctx, rows, n * r), syndrome))
     if x is None:
         return None
     e = []

@@ -8,18 +8,24 @@ adds an error of rank exactly t to m G_pub; decryption undoes P, strips
 the lambda distortion coordinates, and decodes the remaining n coordinates
 in the secret code.
 
-Everything decryption derives from the secret key alone is its decryption
-plan (GptSecretKey.plan): P^-1, the secret code prepared for decoding at
-radius t (GptSecretKey.code: its parity checks H and H_t, see
-decoder.prepare), S G_sec, and the matrix that reads the message off k
-columns of a codeword.  The plan is built on the first decrypt and reused
-by every later one; it is not part of the key's fields, so it is never
+Gabidulin and twisted Gabidulin codes are decoded from a generator matrix
+alone, so decryption is one job for whoever holds a linear map A that
+makes c A decodable: decode c A in the code of a full-rank generator G
+(for the key holder S G_sec, for an attacker G_pub A), then read the
+message off the codeword.  A DecryptPlan (make_plan) holds A, G, the code
+of G prepared for decoding at radius t (its parity checks H and H_t, see
+decoder.prepare), and the matrix that reads the message off k columns of a
+codeword; DecryptPlan.decrypt does the job, and both attacks call it too.
+
+The secret key's plan (GptSecretKey.plan) takes for A the last n columns
+of P^-1 and for G S G_sec.  It is built on the first decrypt and reused by
+every later one; it is not part of the key's fields, so it is never
 serialized, and a key read back from JSON builds the same plan on its own
-first decrypt.  The key reader checks t with the prepared code, which the
-plan then reuses.  At q=2 the matrix and vector products of keygen,
-encrypt and decrypt (S (X | G_sec) P, S G_sec, m G_pub, c P^-1, the
-readout) and the decoder's systems run on coefficient bit planes (see
-linalg), with results identical to field arithmetic.
+first decrypt.  The key reader checks t with the prepared code
+(GptSecretKey.code), which the plan then reuses.  At q=2 the matrix and
+vector products of keygen, encrypt and decrypt (S (X | G_sec) P, S G_sec,
+m G_pub, c A, the readout) and the decoder's systems run on coefficient
+bit planes (see linalg), with results identical to field arithmetic.
 
 The error radius t defaults to the measured decoding radius of the sampled
 secret code: floor((n-k)/2) for Gabidulin, and whatever the q-sum dimension
@@ -74,17 +80,48 @@ class GptParams:
 
 @dataclass(frozen=True)
 class DecryptPlan:
-    """What decrypt derives from a secret key alone.
+    """Everything needed to decrypt c by decoding c A in the code of G.
 
-    The message of a codeword cw is the m with m S G_sec = cw, if any; it
-    is read off k columns as m = cw[cols] readout and then checked by
-    re-encoding."""
+    The message of a codeword cw is the m with m G = cw, if any; it is read
+    off k columns as m = cw[cols] readout and then checked by re-encoding."""
 
-    P_inv: MatFq
-    code: PreparedCode  # the secret code at radius t
-    SG: MatFqm  # S G_sec
-    cols: list[int]  # k columns where S G_sec is invertible
-    readout: MatFqm  # the inverse of S G_sec on those columns
+    A: MatFq  # applied to the ciphertext
+    code: PreparedCode  # the code of G at radius t
+    G: MatFqm  # full rank: the encoder of the message
+    cols: list[int]  # k columns where G is invertible
+    readout: MatFqm  # the inverse of G on those columns
+
+    def decrypt(self, c: list[int]) -> list[int]:
+        """Decode c A, read the message off the codeword and re-encode it;
+        DecryptError on failure."""
+        ctx = self.G.ctx
+        res = self.code.decode(la.vec_mat(ctx, c, self.A))
+        if not res.ok:
+            raise DecryptError(res.status)
+        cw = res.codeword
+        msg = la.vec_mat(ctx, [cw[j] for j in self.cols], self.readout)
+        if la.vec_mat(ctx, msg, self.G) != cw:
+            raise DecryptError("codeword_outside_secret_code")
+        return msg
+
+
+def make_plan(A: MatFq, G: MatFqm, code: PreparedCode) -> DecryptPlan:
+    """The plan that decodes c A with code, the code of G prepared by
+    decoder.prepare, and reads the message off through G, which must have
+    full row rank."""
+    ctx, k = G.ctx, G.rows
+    # G restricted to the pivot columns of its code's echelon form is invertible
+    cols = [next(j for j, a in enumerate(row) if a) for row in code.C.gen.data]
+    block = MatFqm(ctx, [[row[j] for j in cols] for row in G.data], k)
+    readout = la.solve_left(block, MatFqm.identity(ctx, k))
+    return DecryptPlan(A, code, G, cols, readout)
+
+
+def _secret_generator(ctx: FieldCtx, g: list[int], k: int, tw: TwistParams | None) -> MatFqm:
+    """G_sec: the twisted Moore matrix when tw has twists, else the Moore matrix."""
+    if tw is not None and tw.ell:
+        return twisted_moore_matrix(ctx, g, k, tw)
+    return moore_matrix(ctx, g, k)
 
 
 @dataclass(frozen=True)
@@ -98,10 +135,7 @@ class GptSecretKey:
 
     @functools.cached_property
     def G_sec(self) -> MatFqm:
-        ctx, k = self.params.ctx, self.params.k
-        if self.tw is not None and self.tw.ell:
-            return twisted_moore_matrix(ctx, self.g, k, self.tw)
-        return moore_matrix(ctx, self.g, k)
+        return _secret_generator(self.params.ctx, self.g, self.params.k, self.tw)
 
     @functools.cached_property
     def code(self) -> PreparedCode:
@@ -115,15 +149,12 @@ class GptSecretKey:
     @functools.cached_property
     def plan(self) -> DecryptPlan:
         """The decryption plan, built on first use (frozen fields keep it
-        current)."""
-        ctx, k = self.params.ctx, self.params.k
-        C = self.code.C
-        SG = self.S @ self.G_sec
-        # S G_sec restricted to the pivot columns of C's echelon form is invertible
-        cols = [next(j for j, a in enumerate(row) if a) for row in C.gen.data]
-        block = MatFqm(ctx, [[row[j] for j in cols] for row in SG.data], k)
-        readout = la.solve_left(block, MatFqm.identity(ctx, k))
-        return DecryptPlan(self.P.inverse(), self.code, SG, cols, readout)
+        current): P^-1 without its first lambda columns strips the
+        distortion block."""
+        lam, n = self.params.lam, self.params.n
+        P_inv = self.P.inverse()
+        A = MatFq(P_inv.q, [row[lam:] for row in P_inv.data], n)
+        return make_plan(A, self.S @ self.G_sec, self.code)
 
 
 @dataclass
@@ -151,9 +182,7 @@ def keygen(
             if tw.ell != params.ell:
                 raise ValueError("twist count does not match params.ell")
             tw.validate(n, k)
-        G_sec = twisted_moore_matrix(ctx, g, k, tw)
-    else:
-        G_sec = moore_matrix(ctx, g, k)
+    G_sec = _secret_generator(ctx, g, k, tw)
     S = la.random_invertible_matfqm(ctx, k, rng)
     X = la.random_rank_s_matfqm(ctx, k, params.lam, params.s, rng)
     P = la.random_gl(ctx.q, n + params.lam, rng)
@@ -182,18 +211,8 @@ def encrypt(pk: GptPublicKey, msg: list[int], rng) -> list[int]:
 
 
 def decrypt(sk: GptSecretKey, c: list[int]) -> list[int]:
-    """Invert the scrambler, strip the distortion block, decode, solve for m."""
-    params = sk.params
-    ctx, lam = params.ctx, params.lam
-    if len(c) != params.n + lam:
+    """Decrypt through the key's plan: undo the scrambler, strip the
+    distortion block, decode, read off m."""
+    if len(c) != sk.params.n + sk.params.lam:
         raise ValueError("ciphertext length mismatch")
-    plan = sk.plan
-    y = la.vec_mat(ctx, c, plan.P_inv)[lam:]
-    res = plan.code.decode(y)
-    if not res.ok:
-        raise DecryptError(res.status)
-    cw = res.codeword
-    msg = la.vec_mat(ctx, [cw[j] for j in plan.cols], plan.readout)
-    if la.vec_mat(ctx, msg, plan.SG) != cw:
-        raise DecryptError("codeword_outside_secret_code")
-    return msg
+    return sk.plan.decrypt(c)

@@ -12,15 +12,15 @@ form of a generator matrix.  Equality of spaces is equality of canonical
 forms; intersections go through duals, (A cap B)-perp = A-perp + B-perp.
 
 The module also provides the bridge from F_{q^m}-linear constraints on
-F_q-valued unknowns to plain F_q systems (expand_fq_system), to their F_q
-kernel (fq_kernel) and to one of their solutions (fq_solve), rank-metric
-weights (rank_fq), and the random samplers used by key generation.  At q=2
-it also multiplies F_{2^m} matrices held as coefficient bit planes
-(_clmul_planes, exact float32 BLAS products) and bulk-loads packed F_2 rows
-into an echelon (_BitEchelon.load, solved by _solve_bits).  Every q=2
-product of a MatFqm, vec_mat and mat_vec included, runs on bit planes:
-through _clmul_planes, or _f2_matmul for a right factor over F_2.  The
-decoder's error solve and the stabilizer attack use both tools.
+F_q-valued unknowns to plain F_q systems (expand_fq_system) and to their
+F_q kernel (fq_kernel), rank-metric weights (rank_fq), and the random
+samplers used by key generation.  At q=2 it also multiplies F_{2^m}
+matrices held as coefficient bit planes (_clmul_planes, exact float32 BLAS
+products) and bulk-loads packed F_2 rows into an echelon (_BitEchelon.load,
+solved by _solve_bits).  vec_mat and mat_vec are one-row and one-column
+MatFqm products, so every q=2 product runs on bit planes: through
+_clmul_planes, or _f2_matmul for a right factor over F_2.  The decoder's
+error solve and the stabilizer attack use both tools.
 """
 
 from __future__ import annotations
@@ -106,15 +106,6 @@ class _BitEchelon:
                 return True
             row ^= prow
         return False
-
-    def contains(self, row: int) -> bool:
-        while row:
-            j = (row & -row).bit_length() - 1
-            prow = self.pivots.get(j)
-            if prow is None:
-                return False
-            row ^= prow
-        return True
 
     def complete(self, x: int) -> int:
         """x, zero on the pivot columns, with its pivot bits set so that
@@ -239,9 +230,6 @@ class MatFqm:
             [a + b for a, b in zip(self.data, other.data)],
             self.cols + other.cols,
         )
-
-    def take_cols(self, start: int, stop: int) -> "MatFqm":
-        return MatFqm(self.ctx, [r[start:stop] for r in self.data], stop - start)
 
     def frob(self, i: int = 1) -> "MatFqm":
         """Entrywise a -> a^(q^i)."""
@@ -547,37 +535,15 @@ def right_kernel(M):
 
 
 def vec_mat(ctx: FieldCtx, v: list[int], M) -> list[int]:
-    """Row vector times matrix over F_{q^m} (M may be MatFq); at q=2 a
-    one-row product on bit planes."""
-    if len(v) != M.rows:
-        raise ValueError("shape mismatch")
-    if ctx.q == 2:
-        return (MatFqm(ctx, [v], M.rows) @ M).data[0]
-    acc = [0] * M.cols
-    for i, a in enumerate(v):
-        if a:
-            ctx.mac_row(acc, a, M.data[i])
-    return acc
+    """Row vector times matrix over F_{q^m} (M may be MatFq): a one-row
+    MatFqm product."""
+    return (MatFqm(ctx, [v], M.rows) @ M).data[0]
 
 
-def mat_vec(ctx: FieldCtx, M, v: list[int]) -> list[int]:
-    """Matrix times column vector, returned as a list (M may be MatFq); at
-    q=2 and M over F_{2^m} a one-column product on bit planes."""
-    if len(v) != M.cols:
-        raise ValueError("shape mismatch")
-    if ctx.q == 2 and isinstance(M, MatFqm):
-        return [r[0] for r in (M @ MatFqm(ctx, [[a] for a in v], 1)).data]
-    return [dot(ctx, row, v) for row in M.data]
-
-
-def dot(ctx: FieldCtx, u: list[int], v: list[int]) -> int:
-    if len(u) != len(v):
-        raise ValueError("length mismatch")
-    s = 0
-    for a, b in zip(u, v):
-        if a and b:
-            s = ctx.add(s, ctx.mul(a, b))
-    return s
+def mat_vec(ctx: FieldCtx, M: MatFqm, v: list[int]) -> list[int]:
+    """Matrix over F_{q^m} times column vector, returned as a list: a
+    one-column MatFqm product."""
+    return [r[0] for r in (M @ MatFqm(ctx, [[a] for a in v], 1)).data]
 
 
 def rank_fq(ctx: FieldCtx, v: list[int]) -> int:
@@ -636,13 +602,6 @@ def fq_kernel(ctx: FieldCtx, rows, width: int) -> MatFq:
         for bits in _bit_rows(ctx, row):
             ech.add(bits)
     return MatFq(2, [[(v >> j) & 1 for j in range(width)] for v in ech.kernel_basis()], width)
-
-
-def fq_solve(ctx: FieldCtx, rows: list[list[int]], rhs: list[int], width: int):
-    """One x in F_q^width with sum_j r_j x_j = s for every F_{q^m} row r and
-    its right-hand side s, or None: solve_fq(*expand_fq_system(...)).  The
-    decoder's q=2 systems skip the F_{q^m} rows and go to _solve_bits."""
-    return solve_fq(*expand_fq_system(MatFqm(ctx, rows, width), rhs))
 
 
 def _bit_rows(ctx: FieldCtx, row: list[int]) -> list[int]:

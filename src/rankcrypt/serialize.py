@@ -214,9 +214,12 @@ def public_key_to_json(pk: GptPublicKey) -> dict:
 
 @_reader
 def public_key_from_json(obj: dict) -> GptPublicKey:
-    """Read a public key; G_pub must be k x (n + lambda) of rank k."""
+    """Read a public key; t must be set, and G_pub must be k x (n + lambda)
+    of rank k."""
     _check_format(obj)
     params = params_from_json(obj["params"])
+    if params.t is None:
+        raise ValueError("public key has no error rank t")
     G_pub = matfqm_from_json(params.ctx, obj["public"]["G_pub"])
     _check_shape("G_pub", G_pub, params.k, params.n + params.lam)
     rank = la.rank(G_pub)

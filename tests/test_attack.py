@@ -6,14 +6,16 @@ from rankcrypt import linalg as la
 from rankcrypt.attack import (
     AttackError,
     StabilizerAlgebra,
+    _decode_and_recover,
     attack_extension,
     attack_overbeck,
     find_rank_n_idempotent,
     stabilizer,
 )
 from rankcrypt.codes import Code, gabidulin, qsum, random_code
+from rankcrypt.decoder import prepare
 from rankcrypt.fields import field
-from rankcrypt.gpt import GptParams, encrypt, keygen
+from rankcrypt.gpt import GptParams, encrypt, keygen, make_plan
 from rankcrypt.linalg import MatFq, MatFqm
 from rankcrypt.rng import derive_rng, make_rng
 
@@ -184,6 +186,32 @@ def test_overbeck_classic_regime():
         rep = attack_overbeck(pk, c, rng, i=1)
         assert rep.success and rep.recovered == msg
         assert rep.mode == "overbeck_classic" and rep.i_used == 1
+
+
+@pytest.mark.parametrize(
+    "q, m, n, k, lam", [(2, 28, 24, 12, 6), (3, 12, 10, 4, 2)], ids=["q2-m28", "q3-m12"]
+)
+def test_extension_idempotent_makes_a_reusable_plan(q, m, n, k, lam):
+    # the idempotent F an attack finds is as good as the secret key: the
+    # plan of G_pub F decrypts fresh ciphertexts of the same key
+    ctx = field(q, m)
+    rng = derive_rng(77, 1)
+    sk, pk = keygen(GptParams(ctx, n=n, k=k, lam=lam, s=1), rng)
+    msg = [ctx.random(rng) for _ in range(k)]
+    rep = attack_extension(pk, encrypt(pk, msg, rng))
+    assert rep.success and rep.recovered == msg
+    G = pk.G_pub @ rep.F
+    plan = make_plan(rep.F, G, prepare(Code(G), pk.params.t))
+    for _ in range(4):
+        msg = [ctx.random(rng) for _ in range(k)]
+        assert plan.decrypt(encrypt(pk, msg, rng)) == msg
+
+
+def test_decode_and_recover_refuses_rank_deficient_map():
+    ctx, params, sk, pk, msg, c, rng = _low_rank_instance(8)
+    zero = MatFq.zeros(2, params.n + params.lam, params.n)
+    tm = {"decode": 0.0, "recover": 0.0}
+    assert _decode_and_recover(pk, c, zero, tm) == (None, "projected_generator_rank_deficient")
 
 
 def test_attack_reads_only_public_data():

@@ -173,6 +173,20 @@ def test_rejects_rank_deficient_public_key(tmp_path, capsys):
         assert _usage_error(capsys, "attack", "--in", pk, "--in", ct, "--mode", mode), mode
 
 
+def test_rejects_public_key_without_t(tmp_path, capsys):
+    pk, _ = _keygen(tmp_path)
+    ct = str(tmp_path / "ct.json")
+    assert run("encrypt", "--in", pk, "--seed", "7", "--out", ct) == 0
+    obj = json.loads(open(pk).read())
+    obj["params"]["t"] = None
+    json.dump(obj, open(pk, "w"))
+    ct2 = tmp_path / "ct2.json"
+    assert _usage_error(capsys, "encrypt", "--in", pk, "--seed", "7", "--out", str(ct2))
+    assert not ct2.exists() and not (tmp_path / "ct2.msg.json").exists()
+    for mode in ("overbeck", "extension"):
+        assert _usage_error(capsys, "attack", "--in", pk, "--in", ct, "--mode", mode), mode
+
+
 def _usage_error(capsys, *argv):
     """Run argv, expecting exit 2 and one JSON line of kind usage on stderr."""
     capsys.readouterr()

@@ -208,18 +208,18 @@ def test_plan_readout_matches_solve_left():
     rng = make_rng(414)
     sk, _ = keygen(_gab_params(ctx), rng)
     plan = sk.plan
-    assert plan.SG == sk.S @ sk.G_sec
+    assert plan.G == sk.S @ sk.G_sec
     for trial in range(10):
         if trial % 2:
             w = [ctx.random(rng) for _ in range(20)]
         else:
-            w = la.vec_mat(ctx, [ctx.random(rng) for _ in range(8)], plan.SG)
-        sol = la.solve_left(plan.SG, MatFqm(ctx, [w]))
+            w = la.vec_mat(ctx, [ctx.random(rng) for _ in range(8)], plan.G)
+        sol = la.solve_left(plan.G, MatFqm(ctx, [w]))
         msg = la.vec_mat(ctx, [w[j] for j in plan.cols], plan.readout)
         if sol is None:
-            assert la.vec_mat(ctx, msg, plan.SG) != w
+            assert la.vec_mat(ctx, msg, plan.G) != w
         else:
-            assert msg == sol.data[0] and la.vec_mat(ctx, msg, plan.SG) == w
+            assert msg == sol.data[0] and la.vec_mat(ctx, msg, plan.G) == w
 
 
 def test_decrypt_refuses_codeword_outside_secret_code():

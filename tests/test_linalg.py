@@ -121,26 +121,6 @@ def test_solve_fq_consistent_and_inconsistent():
     assert la.solve_fq(A, b) is None
 
 
-def test_fq_solve_matches_solve_fq():
-    # fq_solve against the plain RREF of the expanded system, on consistent
-    # and inconsistent systems (the decoder's packed q=2 solve is checked by
-    # test_decoder.test_packed_step_two_matches_expanded_system)
-    rng = make_rng(48)
-    seen = set()
-    for ctx in (field(2, 8), field(2, 28), field(3, 3)):
-        for trial in range(40):
-            M = MatFqm.random(ctx, 2 + trial % 3, 3 + trial % 7, rng)
-            if trial % 2:
-                rhs = [ctx.random(rng) for _ in range(M.rows)]
-            else:
-                u = [int(rng.integers(0, ctx.q)) for _ in range(M.cols)]
-                rhs = la.mat_vec(ctx, M, u)
-            want = la.solve_fq(*la.expand_fq_system(M, rhs))
-            assert la.fq_solve(ctx, M.data, rhs, M.cols) == want
-            seen.add(want is None)
-    assert seen == {True, False}
-
-
 def test_random_gl_and_inverse():
     rng = make_rng(53)
     assert la.random_gl(2, 1, rng).data == [[1]]
