@@ -16,8 +16,10 @@ Three layers:
 
 The stabilizer is the kernel of G M H^T = 0 over F_q: k'(N-k')m equations
 in N^2 unknowns after coordinate expansion, for an [N, k'] code.  At odd q
-the full system goes to linalg.fq_kernel.  At q=2 most of those rows are
-redundant, so the kernel is first taken of ceil(N^2/m) seeded rank-one
+the full system is built as one linalg._clmul_planes product of the
+entries of G by those of H, with no F_{q^m} arithmetic, and goes straight
+to the numpy F_q echelon (linalg._fq_kernel).  At q=2 most of those rows
+are redundant, so the kernel is first taken of ceil(N^2/m) seeded rank-one
 probes (uG) (x) (vH), m rows each, drawn from a fixed stream; their rows are
 F_2 combinations of the full system's, so that kernel contains the
 stabilizer.  Every candidate in it is then checked exactly against
@@ -102,16 +104,17 @@ def stabilizer(C: Code) -> StabilizerAlgebra:
     of G M H^T = 0, one F_{q^m} constraint g_a (x) h_b per row pair of G and
     H, on the entries of M in row-major order.
 
-    At odd q every pair is fed to linalg.fq_kernel: there, checking the
-    candidates of a probed system costs more than the full system.  At q=2
-    the kernel of ceil(N^2/m) rank-one probes (uG) (x) (vH), u and v dense
-    and drawn from the _PROBE_SEED stream, is checked candidate by
-    candidate against G M H^T = 0, and each violated pair (a, b) adds the
-    rows of g_a (x) h_b until every candidate passes.  The q=2 products are
-    computed on coefficient bit planes by linalg._clmul_planes, and the
-    probes' bit-rows are bulk-loaded into the F_2 echelon.  Both ways the
-    basis is the full system's canonical kernel basis (one vector per free
-    column, in column order); rows_fed counts the F_q rows fed.
+    At odd q every pair is solved at once (_full_system, then the F_q
+    echelon): there, checking the candidates of a probed system costs more
+    than the full system.  At q=2 the kernel of ceil(N^2/m) rank-one probes
+    (uG) (x) (vH), u and v dense and drawn from the _PROBE_SEED stream, is
+    checked candidate by candidate against G M H^T = 0, and each violated
+    pair (a, b) adds the rows of g_a (x) h_b until every candidate passes.
+    The products are computed on coefficient digit planes by
+    linalg._clmul_planes, and at q=2 the probes' bit-rows are bulk-loaded
+    into the F_2 echelon.  Both ways the basis is the full system's
+    canonical kernel basis (one vector per free column, in column order);
+    rows_fed counts the F_q rows fed.
     """
     ctx, N = C.ctx, C.n
     G = C.gen
@@ -119,16 +122,24 @@ def stabilizer(C: Code) -> StabilizerAlgebra:
     if ctx.q == 2:
         vecs, rows_fed = _kernel_by_probes(ctx, G, H)
     else:
-        mul = ctx.mul
-        rows = (
-            [mul(gu, hv) if gu and hv else 0 for gu in ga for hv in hb]
-            for ga in G.data
-            for hb in H.data
-        )
-        vecs = la.fq_kernel(ctx, rows, N * N).data
-        rows_fed = G.rows * H.rows * ctx.m
+        system = _full_system(ctx, G, H)
+        vecs = la._fq_kernel(la._fq_array(ctx.q, system, N * N), ctx.q).tolist()
+        rows_fed = len(system)
     basis = [MatFq(ctx.q, [vec[u * N : (u + 1) * N] for u in range(N)], N) for vec in vecs]
     return StabilizerAlgebra(N, basis, rows_fed)
+
+
+def _full_system(ctx, G: MatFqm, H: MatFqm) -> np.ndarray:
+    """The F_q rows of every constraint g_a (x) h_b, in expand_fq_system's
+    order (row (a |H| + b) m + t holds coefficient t of g_a[u] h_b[v] in
+    column u N + v): one linalg._clmul_planes product of the entries of G
+    by those of H."""
+    N, m = G.cols, ctx.m
+    k, h = G.rows, H.rows
+    g = la._matrix_digits(ctx, G).reshape(k * N, 1, m)
+    planes = la._clmul_planes(ctx, g, la._matrix_digits(ctx, H).reshape(1, h * N, m))
+    # planes[t, a N + u, b N + v]
+    return planes.reshape(m, k, N, h, N).transpose(1, 3, 0, 2, 4).reshape(k * h * m, N * N)
 
 
 def _kernel_by_probes(ctx, G: MatFqm, H: MatFqm) -> tuple[list[list[int]], int]:
@@ -158,7 +169,7 @@ def _kernel_by_probes(ctx, G: MatFqm, H: MatFqm) -> tuple[list[list[int]], int]:
 
 def _block_bits(ctx, M: MatFqm, cols: list[int]) -> np.ndarray:
     """q=2: the coefficient bits of the columns cols of M, (rows, cols, m)."""
-    bits = la._coeff_bits(ctx, [row[j] for row in M.data for j in cols])
+    bits = la._coeff_digits(ctx, [row[j] for row in M.data for j in cols])
     return bits.reshape(M.rows, len(cols), ctx.m)
 
 
@@ -205,14 +216,14 @@ def _violation_finder(ctx, G: MatFqm, H: MatFqm, pivots: list[int], free: list[i
     direct = H.rows <= G.rows  # L = G, else L = H and M' = M^T
     L, R, ident, rest = (G, H, pivots, free) if direct else (H, G, free, pivots)
     width = R.rows
-    Rt = la._matrix_bits(ctx, R).transpose(1, 0, 2).reshape(N, width * m)
+    Rt = la._matrix_digits(ctx, R).transpose(1, 0, 2).reshape(N, width * m)
     Rt = Rt.astype(np.float32)
     Lrest = _block_bits(ctx, L, rest)
 
     def violation(v: int):
         packed = np.frombuffer(v.to_bytes(-(-N * N // 8), "little"), dtype=np.uint8)
         M = np.unpackbits(packed, bitorder="little")[: N * N].reshape(N, N).astype(np.float32)
-        Y = la._mod2((M if direct else M.T) @ Rt)  # sums of at most N bits
+        Y = la._mod_q((M if direct else M.T) @ Rt, 2)  # sums of at most N bits
         Y = Y.astype(np.uint8).reshape(N, width, m)
         acc = Y[ident] ^ la._clmul_planes(ctx, Lrest, Y[rest]).transpose(1, 2, 0)
         hits = np.flatnonzero(acc.any(axis=2))

@@ -6,10 +6,11 @@ linearized polynomial P of q-degree <= t with H_t P(y)^T = 0, H_t a parity
 check of Lambda_t(C); any such P annihilates the error when the radius
 condition dim Lambda_t(C) + t <= n holds.  Step 2 writes the error with
 coordinates confined to ker(P) and solves the resulting F_q system against
-the parity check H of C.  At q=2 step 1's product H_t (y, y^q, ...)^T
-runs on coefficient bit planes (MatFqm @), and step 2 builds its F_2
-system with no F_{2^m} arithmetic, as one bit-plane product of ker(P)'s
-basis by the entries of H, and bulk-loads it into the F_2 echelon.
+the parity check H of C.  Step 1's product H_t (y, y^q, ...)^T runs on
+coefficient digit planes (MatFqm @), and step 2 builds its F_q system with
+no F_{q^m} arithmetic, as one digit-plane product of ker(P)'s basis by the
+entries of H, for every q; linalg.solve_fq then bulk-loads it into the
+F_2 echelon at q=2 and reduces it with the numpy F_q echelon at odd q.
 What the pair of steps actually decodes is the t-closure of C; for
 Gabidulin codes and radii below (n-k)/2 that closure is C itself.
 
@@ -35,7 +36,7 @@ import numpy as np
 from . import linalg as la
 from .codes import Code, _qsum_echelon, qsum
 from .fields import FieldCtx
-from .linalg import MatFqm
+from .linalg import MatFq, MatFqm
 from .qpoly import LinPoly
 
 _WORK_CAP = 1 << 22  # brute-force budget: sum over supports of r*n
@@ -134,51 +135,32 @@ def _error_over_support(ctx, H, syndrome, kappa, n):
     """Error e of length n with every e_i in span_Fq(kappa) and
     H e^T = syndrome, free variables zero; None if there is none.
 
-    Unknown c*r + rho is the F_q coefficient of kappa[rho] in e_c.  At q=2
-    the F_q system is built on bit planes (_bit_system); at odd q it is
-    expanded from F_{q^m} rows (linalg.expand_fq_system) and solved."""
+    Unknown c*r + rho is the F_q coefficient of kappa[rho] in e_c.  The F_q
+    system is built on coefficient digit planes (_step_two_system) and
+    solved by linalg.solve_fq; e is then kappa times the r x n matrix of
+    the solution."""
     r = len(kappa)
-    if ctx.q == 2:
-        x = la._solve_bits(_bit_system(ctx, H, syndrome, kappa), n * r)
-    else:
-        rows = []
-        for hrow in H.data:
-            row = [0] * (n * r)
-            for rho, kp in enumerate(kappa):
-                row[rho::r] = ctx.mul_row(kp, hrow)
-            rows.append(row)
-        x = la.solve_fq(*la.expand_fq_system(MatFqm(ctx, rows, n * r), syndrome))
+    x = la.solve_fq(ctx.q, _step_two_system(ctx, H, syndrome, kappa))
     if x is None:
         return None
-    e = []
-    for c in range(n):
-        acc = 0
-        for rho in range(r):
-            s = x[c * r + rho]
-            if s:
-                acc = ctx.add(acc, kappa[rho] if s == 1 else ctx.mul(s, kappa[rho]))
-        e.append(acc)
-    return e
+    return la.vec_mat(ctx, kappa, MatFq(ctx.q, [x[rho::r] for rho in range(r)], n))
 
 
-def _bit_system(ctx, H, syndrome, kappa) -> np.ndarray:
-    """q=2: step 2's F_2 system, packed 8 columns per byte, with no F_{2^m}
-    arithmetic.  Row j m + t (expand_fq_system's order) holds bit t of
-    kappa[rho] H[j][c] in column c r + rho and bit t of syndrome[j] in
-    column n r: one linalg._clmul_planes product of kappa by the entries of
-    H."""
+def _step_two_system(ctx, H, syndrome, kappa) -> np.ndarray:
+    """Step 2's augmented F_q system [A | b], with no F_{q^m} arithmetic.
+    Row j m + t (expand_fq_system's order) holds coefficient t of
+    kappa[rho] H[j][c] in column c r + rho and coefficient t of syndrome[j]
+    in column n r: one linalg._clmul_planes product of kappa by the
+    entries of H."""
     m, r = ctx.m, len(kappa)
     nk, n = H.rows, H.cols
     planes = la._clmul_planes(  # planes[t, rho, j n + c]
-        ctx, la._coeff_bits(ctx, kappa)[:, None], la._matrix_bits(ctx, H).reshape(1, nk * n, m)
+        ctx, la._coeff_digits(ctx, kappa)[:, None], la._matrix_digits(ctx, H).reshape(1, nk * n, m)
     )
-    # one more block of r columns after the n of the unknowns: the syndrome
-    # bit is its first column, the rest stay zero and are cut off once packed
-    system = np.zeros((nk, m, n + 1, r), dtype=np.uint8)
-    system[:, :, :n] = planes.reshape(m, r, nk, n).transpose(2, 0, 3, 1)
-    system[:, :, n, 0] = la._coeff_bits(ctx, syndrome)
-    packed = np.packbits(system.reshape(nk * m, (n + 1) * r), axis=1, bitorder="little")
-    return packed[:, : n * r // 8 + 1]
+    system = np.empty((nk, m, n * r + 1), dtype=planes.dtype)
+    system[:, :, : n * r] = planes.reshape(m, r, nk, n).transpose(2, 0, 3, 1).reshape(nk, m, n * r)
+    system[:, :, n * r] = la._coeff_digits(ctx, syndrome)
+    return system.reshape(nk * m, n * r + 1)
 
 
 # -- support-enumeration oracle -------------------------------------------

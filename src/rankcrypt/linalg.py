@@ -14,18 +14,30 @@ forms; intersections go through duals, (A cap B)-perp = A-perp + B-perp.
 The module also provides the bridge from F_{q^m}-linear constraints on
 F_q-valued unknowns to plain F_q systems (expand_fq_system) and to their
 F_q kernel (fq_kernel), rank-metric weights (rank_fq), and the random
-samplers used by key generation.  At q=2 it also multiplies F_{2^m}
-matrices held as coefficient bit planes (_clmul_planes, exact float32 BLAS
-products) and bulk-loads packed F_2 rows into an echelon (_BitEchelon.load,
-solved by _solve_bits).  vec_mat and mat_vec are one-row and one-column
-MatFqm products, so every q=2 product runs on bit planes: through
-_clmul_planes, or _f2_matmul for a right factor over F_2.  The decoder's
-error solve and the stabilizer attack use both tools.
+samplers used by key generation.
+
+Two tools carry the work for every prime q:
+
+  * F_{q^m} matrices multiply as coefficient digit planes (_clmul_planes,
+    or _fq_matmul for a right factor over F_q): exact float32 BLAS
+    products whose sums are reduced mod q before they can pass 2^24, read
+    mod q (& 1 at q=2).  vec_mat and mat_vec are one-row and one-column
+    MatFqm products, so every MatFqm product runs this way.
+  * F_q matrices go through one numpy echelon (_fq_rref): a rank-one update
+    of int16 rows per pivot, reduced mod q only when the next update could
+    overflow.  rref, rank, right_kernel, MatFq.inverse, solve_fq, rank_fq
+    and fq_kernel use it; at q=2, rank, rank_fq, fq_kernel and solve_fq
+    pack rows into bits instead (_BitEchelon, with its bulk load).
+
+The decoder's error solve and the stabilizer attack use both.  The
+eliminations over F_{q^m} itself (_rref_rows_fqm, _FqmEchelon) still use
+the field's arithmetic.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
@@ -85,9 +97,9 @@ class _FqmEchelon:
 
 class _BitEchelon:
     """Incremental row echelon over F_2 with rows packed into ints (bit j =
-    column j).  The workhorse for rank_fq and fq_kernel at q=2, for the
-    decoder's error solve (_solve_bits) and for the stabilizer's probe
-    system in the attack module."""
+    column j).  The workhorse for rank, rank_fq, fq_kernel and solve_fq at
+    q=2 (the last is the decoder's error solve) and for the stabilizer's
+    probe system in the attack module."""
 
     def __init__(self, width: int):
         self.width = width
@@ -259,8 +271,9 @@ class MatFqm:
 
     def __matmul__(self, other) -> "MatFqm":
         # MatFq entries are constants of F_{q^m} under the integer encoding,
-        # so a mixed product reads other.data directly.  At q=2 the product
-        # runs on coefficient bit planes (_clmul_planes).
+        # so a mixed product reads other.data directly.  The product runs on
+        # coefficient digit planes (_clmul_planes, or _fq_matmul for a right
+        # factor over F_q).
         if isinstance(other, MatFq):
             if other.q != self.ctx.q:
                 raise ValueError("base field mismatch")
@@ -271,25 +284,16 @@ class MatFqm:
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
         ctx = self.ctx
-        if ctx.q == 2:
-            P, Q = self.rows, other.cols
-            bits = _matrix_bits(ctx, self)
-            if isinstance(other, MatFq):
-                # F_2 entries: plane t of the product is plane t of self times other
-                B = np.array(other.data, dtype=np.float32).reshape(other.rows, Q)
-                planes = _f2_matmul(bits.transpose(2, 0, 1), B)
-            else:
-                planes = _clmul_planes(ctx, bits, _matrix_bits(ctx, other))
-            entries = _pack_rows(planes.reshape(ctx.m, P * Q).T)
-            return MatFqm(ctx, [entries[p * Q : (p + 1) * Q] for p in range(P)], Q)
-        out = []
-        for arow in self.data:
-            acc = [0] * other.cols
-            for j, a in enumerate(arow):
-                if a:
-                    ctx.mac_row(acc, a, other.data[j])
-            out.append(acc)
-        return MatFqm(ctx, out, other.cols)
+        P, Q = self.rows, other.cols
+        digits = _matrix_digits(ctx, self)
+        if isinstance(other, MatFq):
+            # F_q entries: plane t of the product is plane t of self times other
+            B = np.array(other.data, dtype=np.int64).reshape(other.rows, Q)
+            planes = _fq_matmul(digits.transpose(2, 0, 1), B, ctx.q)
+        else:
+            planes = _clmul_planes(ctx, digits, _matrix_digits(ctx, other))
+        entries = _from_digits(ctx, planes.reshape(ctx.m, P * Q).T)
+        return MatFqm(ctx, [entries[p * Q : (p + 1) * Q] for p in range(P)], Q)
 
     def scale(self, a: int) -> "MatFqm":
         ctx = self.ctx
@@ -388,27 +392,19 @@ class MatFq:
             raise ValueError("field mismatch")
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
-        q = self.q
-        out = []
-        for arow in self.data:
-            acc = [0] * other.cols
-            for j, a in enumerate(arow):
-                if a:
-                    brow = other.data[j]
-                    for jj in range(other.cols):
-                        acc[jj] = (acc[jj] + a * brow[jj]) % q
-            out.append(acc)
-        return MatFq(q, out, other.cols)
+        A = np.array(self.data, dtype=np.int64).reshape(self.rows, self.cols)
+        B = np.array(other.data, dtype=np.int64).reshape(other.rows, other.cols)
+        return MatFq(self.q, _fq_matmul(A, B, self.q).tolist(), other.cols)
 
     def inverse(self) -> "MatFq":
         if self.rows != self.cols:
             raise ValueError("not square")
         n, q = self.rows, self.q
-        aug = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(self.data)]
-        _rref_rows_fq(aug, q, 2 * n)
-        if _pivot_cols(aug, 2 * n) != list(range(n)):
+        A = _fq_array(q, self.data, n)
+        aug = np.hstack([A, np.eye(n, dtype=A.dtype)])
+        if _fq_rref(aug, q) != list(range(n)):
             raise ValueError("matrix is singular")
-        return MatFq(q, [r[n:] for r in aug], n)
+        return MatFq(q, aug[:, n:].tolist(), n)
 
     def is_zero(self) -> bool:
         return all(not e for r in self.data for e in r)
@@ -448,26 +444,83 @@ def _rref_rows_fqm(data: list[list[int]], ctx: FieldCtx, cols: int) -> int:
     return rank
 
 
-def _rref_rows_fq(data: list[list[int]], q: int, cols: int) -> int:
-    """In-place RREF of a list of F_q rows; returns the rank."""
-    rank = 0
+def _echelon_dtype(q: int):
+    """The dtype _fq_rref works in: int16 while one update of reduced
+    entries, q (q-1) at most in size, fits (q <= 181), else int64, else
+    Python ints."""
+    bound = q * (q - 1)
+    if bound < 1 << 15:
+        return np.int16
+    return np.int64 if bound < 1 << 63 else object
+
+
+def _fq_array(q: int, data, cols: int) -> np.ndarray:
+    """A fresh (rows, cols) array of F_q entries (a list of rows or an
+    array) in the dtype _fq_rref works in."""
+    return np.array(data, dtype=_echelon_dtype(q)).reshape(len(data), cols)
+
+
+def _fq_rref(A: np.ndarray, q: int) -> list[int]:
+    """Reduce A, entries in [0, q) as from _fq_array, in place to its
+    reduced row echelon form; returns the pivot columns, one per nonzero
+    row, and leaves the rows past the rank zero.
+
+    Column by column, with c column j read mod q: a row at or below the
+    rank r with c_s != 0 (the RREF does not depend on which) gives the pivot
+    row p, read mod q and scaled to 1 at j, and row r moves to its place.
+    One rank-one update of the column slice A[:, j:] (a view, whole rows)
+    then takes c_i p off every other row i, and p is written to row r.
+    Columns before j need no update, as p is zero there.  The rest of A is
+    reduced mod q only when the next update could pass the dtype (each
+    adds at most (q-1)^2 in size), and once at the end.
+    """
+    rows, cols = A.shape
+    # the largest entry size the dtype holds (np.iinfo is slow to build)
+    limit = math.inf if A.dtype == object else (1 << (8 * A.dtype.itemsize - 1)) - 1
+    unit = (q - 1) ** 2
+    top = q - 1  # bound on the size of the entries of A
+    pivots: list[int] = []
     for j in range(cols):
-        src = next((i for i in range(rank, len(data)) if data[i][j]), None)
-        if src is None:
-            continue
-        data[rank], data[src] = data[src], data[rank]
-        row = data[rank]
-        if row[j] != 1:
-            inv = pow(row[j], -1, q)
-            data[rank] = row = [(inv * e) % q for e in row]
-        for i in range(len(data)):
-            a = data[i][j]
-            if i != rank and a:
-                data[i] = [(e - a * p) % q for e, p in zip(data[i], row)]
-        rank += 1
-        if rank == len(data):
+        r = len(pivots)
+        if r == rows:
             break
-    return rank
+        col = A[:, j] % q
+        s = r
+        if not col[r]:
+            s = r + int(col[r:].argmax())
+            if not col[s]:
+                continue
+        row = A[s, j:] % q
+        a = int(col[s])
+        if s != r:  # row s is the pivot row, written to row r below
+            A[s] = A[r]
+            col[s] = col[r]
+        if a != 1:
+            row *= pow(a, -1, q)
+            row %= q
+        col[r] = 0
+        if top + unit > limit:
+            A[:, j:] %= q
+            top = q - 1
+        A[:, j:] -= np.multiply.outer(col, row)
+        top += unit
+        A[r, j:] = row
+        pivots.append(j)
+    A %= q
+    return pivots
+
+
+def _fq_kernel(A: np.ndarray, q: int) -> np.ndarray:
+    """Basis of {x : A x^T = 0} for A as from _fq_array, which is reduced in
+    place: one row per free column of the RREF, in column order, 1 at that
+    column and 0 at the other free ones."""
+    cols = A.shape[1]
+    pivots = _fq_rref(A, q)
+    free = np.setdiff1d(np.arange(cols), pivots)
+    K = np.zeros((free.size, cols), dtype=A.dtype)
+    K[np.arange(free.size), free] = 1
+    K[:, pivots] = -A[: len(pivots), free].T % q
+    return K
 
 
 def _pivot_cols(data: list[list[int]], cols: int) -> list[int]:
@@ -492,10 +545,9 @@ def rref(M):
         pivs = _pivot_cols(data, M.cols)
         return MatFqm(M.ctx, data[:rank], M.cols), rank, pivs
     if isinstance(M, MatFq):
-        data = [list(r) for r in M.data]
-        rank = _rref_rows_fq(data, M.q, M.cols)
-        pivs = _pivot_cols(data, M.cols)
-        return MatFq(M.q, data[:rank], M.cols), rank, pivs
+        A = _fq_array(M.q, M.data, M.cols)
+        pivs = _fq_rref(A, M.q)
+        return MatFq(M.q, A[: len(pivs)].tolist(), M.cols), len(pivs), pivs
     raise TypeError(f"rref does not handle {type(M).__name__}")
 
 
@@ -503,8 +555,12 @@ def rank(M) -> int:
     if isinstance(M, MatFqm):
         return _FqmEchelon(M.ctx, M.cols, M.data).rank
     if isinstance(M, MatFq):
-        data = [list(r) for r in M.data]
-        return _rref_rows_fq(data, M.q, M.cols)
+        if M.q == 2:  # rows packed into ints: far less overhead than numpy at these sizes
+            ech = _BitEchelon(M.cols)
+            for row in _pack_rows(np.array(M.data, dtype=np.uint8).reshape(M.rows, M.cols)):
+                ech.add(row)
+            return ech.rank
+        return len(_fq_rref(_fq_array(M.q, M.data, M.cols), M.q))
     raise TypeError(f"rank does not handle {type(M).__name__}")
 
 
@@ -514,21 +570,19 @@ def right_kernel(M):
     Deterministic: one basis vector per free column of the RREF, in
     column order, with a 1 in the free position.
     """
+    if isinstance(M, MatFq):
+        return MatFq(M.q, _fq_kernel(_fq_array(M.q, M.data, M.cols), M.q).tolist(), M.cols)
     R, rk, pivs = rref(M)
-    ncols = M.cols
+    ctx, ncols = M.ctx, M.cols
     free = [j for j in range(ncols) if j not in set(pivs)]
-    if isinstance(M, MatFqm):
-        base, neg = M.ctx, M.ctx.neg
-    else:
-        base, neg = M.q, lambda a: (-a) % M.q
     basis = []
     for f in free:
         v = [0] * ncols
         v[f] = 1
         for i, p in enumerate(pivs):
-            v[p] = neg(R.data[i][f])
+            v[p] = ctx.neg(R.data[i][f])
         basis.append(v)
-    return type(M)(base, basis, ncols)
+    return MatFqm(ctx, basis, ncols)
 
 
 # -- vectors ------------------------------------------------------------
@@ -554,38 +608,24 @@ def rank_fq(ctx: FieldCtx, v: list[int]) -> int:
             if a:
                 ech.add(a)
         return ech.rank
-    data = [ctx.coeffs(a) for a in v if a]
-    if not data:
-        return 0
-    return _rref_rows_fq(data, ctx.q, ctx.m)
+    digits = _coeff_digits(ctx, [a for a in v if a])
+    return len(_fq_rref(_fq_array(ctx.q, digits, ctx.m), ctx.q))
 
 
 # -- the F_{q^m} -> F_q bridge -------------------------------------------
 
 
-def expand_fq_system(M: MatFqm, rhs: list[int] | None = None):
+def expand_fq_system(M: MatFqm) -> MatFq:
     """Split F_{q^m}-linear constraints on F_q unknowns into F_q equations.
 
     Row r of M is the coefficient vector of one constraint sum_j c_j u_j
     with the u_j ranging over F_q.  Each constraint becomes m rows, one per
-    polynomial-basis coordinate.  Returns the expanded MatFq, or a pair
-    (MatFq, expanded rhs) when an F_{q^m} right-hand side is supplied.
+    polynomial-basis coordinate: row r m + t holds coefficient t of every
+    c_j.
     """
-    ctx, m = M.ctx, M.ctx.m
-    out = []
-    for row in M.data:
-        cs = [ctx.coeffs(c) for c in row]
-        for t in range(m):
-            out.append([c[t] for c in cs])
-    A = MatFq(ctx.q, out, M.cols)
-    if rhs is None:
-        return A
-    if len(rhs) != M.rows:
-        raise ValueError("rhs length mismatch")
-    b: list[int] = []
-    for s in rhs:
-        b.extend(ctx.coeffs(s))
-    return A, b
+    ctx = M.ctx
+    digits = _matrix_digits(ctx, M).transpose(0, 2, 1).reshape(M.rows * ctx.m, M.cols)
+    return MatFq(ctx.q, digits.tolist(), M.cols)
 
 
 def fq_kernel(ctx: FieldCtx, rows, width: int) -> MatFq:
@@ -593,7 +633,8 @@ def fq_kernel(ctx: FieldCtx, rows, width: int) -> MatFq:
     iterable of F_{q^m} rows, equal to right_kernel(expand_fq_system(...)).
 
     At q=2 each row is split into its m coefficient bit-rows as it arrives
-    and fed to a _BitEchelon, so the expanded system is never held.
+    and fed to a _BitEchelon, so the expanded system is never held; at odd
+    q the expanded system goes to the F_q echelon (_fq_rref).
     """
     if ctx.q != 2:
         return right_kernel(expand_fq_system(MatFqm(ctx, list(rows), width)))
@@ -607,21 +648,74 @@ def fq_kernel(ctx: FieldCtx, rows, width: int) -> MatFq:
 def _bit_rows(ctx: FieldCtx, row: list[int]) -> list[int]:
     """q=2: the m coefficient bit-rows of an F_{2^m} row, bit-row t holding
     coefficient t of every entry (bit j = entry j)."""
-    return _pack_rows(_coeff_bits(ctx, row).T)
+    return _pack_rows(_coeff_digits(ctx, row).T)
 
 
-def _coeff_bits(ctx: FieldCtx, row: list[int]) -> np.ndarray:
-    """q=2: the coefficient bits of F_{2^m} elements, shape (len(row), m)."""
-    nbytes = (ctx.m + 7) // 8
-    buf = b"".join(a.to_bytes(nbytes, "little") for a in row)
-    arr = np.frombuffer(buf, dtype=np.uint8).reshape(len(row), nbytes)
-    return np.unpackbits(arr, axis=1, bitorder="little")[:, : ctx.m]
+def _digit_dtype(q: int):
+    """The dtype of coefficient digits: uint8 up to q = 256, else int64."""
+    return np.uint8 if q <= 256 else np.int64
 
 
-def _matrix_bits(ctx: FieldCtx, M) -> np.ndarray:
-    """q=2: the coefficient bits of the entries of M (MatFqm or MatFq),
-    shape (rows, cols, m)."""
-    return _coeff_bits(ctx, [e for r in M.data for e in r]).reshape(M.rows, M.cols, ctx.m)
+@functools.lru_cache(maxsize=None)
+def _limb_powers(q: int, m: int) -> np.ndarray:
+    """q^0, q^1, ..., q^(c-1) as int64, for the largest c <= m with q^c
+    below 2^63: c base-q digits make one int64 limb of an encoding.
+    Read-only, one per (q, m)."""
+    powers = [1]
+    while len(powers) < m and q ** (len(powers) + 1) <= np.iinfo(np.int64).max:
+        powers.append(powers[-1] * q)
+    table = np.array(powers, dtype=np.int64)
+    table.flags.writeable = False
+    return table
+
+
+def _coeff_digits(ctx: FieldCtx, row: list[int]) -> np.ndarray:
+    """The coefficients of F_{q^m} elements (base-q digits of their
+    encodings), shape (len(row), m).  At q=2 the bytes of each encoding
+    are unpacked; at odd q each encoding is split into int64 limbs of c
+    digits (_limb_powers), so encodings of any size stay exact, and each
+    limb is divided out by the powers of q."""
+    q, m = ctx.q, ctx.m
+    if q == 2:
+        nbytes = (m + 7) // 8
+        buf = b"".join(a.to_bytes(nbytes, "little") for a in row)
+        arr = np.frombuffer(buf, dtype=np.uint8).reshape(len(row), nbytes)
+        return np.unpackbits(arr, axis=1, bitorder="little")[:, :m]
+    powers = _limb_powers(q, m)
+    c = len(powers)
+    base = q**c
+    out = np.empty((len(row), m), dtype=_digit_dtype(q))
+    rest = row
+    for t0 in range(0, m, c):
+        limb = rest
+        if t0 + c < m:
+            rest = [a // base for a in limb]
+            limb = [a % base for a in limb]
+        vals = np.array(limb, dtype=np.int64)
+        out[:, t0 : t0 + c] = vals[:, None] // powers[: m - t0] % q
+    return out
+
+
+def _from_digits(ctx: FieldCtx, digits: np.ndarray) -> list[int]:
+    """The encodings of the F_{q^m} elements whose coefficients are the rows
+    of digits (count, m): the inverse of _coeff_digits."""
+    q, m = ctx.q, ctx.m
+    if q == 2:
+        return _pack_rows(digits)
+    powers = _limb_powers(q, m)
+    c = len(powers)
+    base = q**c
+    out: list[int] | None = None
+    for t0 in reversed(range(0, m, c)):
+        limb = (digits[:, t0 : t0 + c].astype(np.int64) @ powers[: m - t0]).tolist()
+        out = limb if out is None else [a * base + b for a, b in zip(out, limb)]
+    return out
+
+
+def _matrix_digits(ctx: FieldCtx, M) -> np.ndarray:
+    """The coefficient digits of the entries of M (MatFqm or MatFq), shape
+    (rows, cols, m)."""
+    return _coeff_digits(ctx, [e for r in M.data for e in r]).reshape(M.rows, M.cols, ctx.m)
 
 
 def _pack_rows(bits: np.ndarray) -> list[int]:
@@ -635,7 +729,7 @@ def _pack_rows(bits: np.ndarray) -> list[int]:
 def _outer_bit_rows(ctx: FieldCtx, x: list[int], y: list[int]) -> list[int]:
     """q=2: _bit_rows of x (x) y (entry u len(y) + v is x_u y_v), computed
     by _clmul_planes."""
-    planes = _clmul_planes(ctx, _coeff_bits(ctx, x)[:, None], _coeff_bits(ctx, y)[None])
+    planes = _clmul_planes(ctx, _coeff_digits(ctx, x)[:, None], _coeff_digits(ctx, y)[None])
     return _pack_rows(planes.reshape(ctx.m, len(x) * len(y)))
 
 
@@ -644,26 +738,28 @@ def _outer_bit_rows(ctx: FieldCtx, x: list[int], y: list[int]) -> list[int]:
 # sums).  Larger blocks mean fewer BLAS calls but a higher peak RSS.
 _CLMUL_BLOCK_BYTES = 1 << 16
 
-# float32 represents every integer up to 2^24 exactly; _clmul_planes keeps
-# each of its sums at or below this bound.
+# float32 represents every integer up to 2^24 exactly; _clmul_planes and
+# _fq_matmul keep each of their sums at or below this bound.
 _CLMUL_EXACT = 1 << 24
 
 
 def _clmul_planes(ctx: FieldCtx, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """q=2: the coefficient bits of the F_{2^m} matrix product A B, with no
-    F_{2^m} arithmetic.  A (P, K, m) and B (K, Q, m) hold the coefficient
-    bits of the entries (as from _coeff_bits); plane t of the (m, P, Q)
-    result holds bit t of sum_a A[p, a] B[a, q].
+    """The coefficient digits of the F_{q^m} matrix product A B, with no
+    F_{q^m} arithmetic.  A (P, K, m) and B (K, Q, m) hold the coefficient
+    digits of the entries (as from _coeff_digits); plane t of the (m, P, Q)
+    result holds digit t of sum_a A[p, a] B[a, q].
 
-    Two exact float32 BLAS products per block of columns of B: the bits of
-    A against the Toeplitz layout of B give the unreduced carry-less
+    Two exact float32 BLAS products per block of columns of B: the digits
+    of A against the Toeplitz layout of B give the unreduced polynomial
     products (coefficients 0 .. 2m-2, summed over a), and those against
-    the (2m-1) x m table of the bits of x^s mod f give the reduced ones;
-    both are read mod 2.  Every sum stays an integer of at most
-    _CLMUL_EXACT, below which float32 is exact: each a adds at most m to a
-    running sum of the first product, which is taken mod 2 whenever the
-    next block of a could push it past that bound, and once more before the
-    second product if its sums (w times the running bound) could.
+    the (2m-1) x m table of the digits of x^s mod f give the reduced ones;
+    both are read mod q (& 1 at q=2).  Every sum stays an integer of at most
+    _CLMUL_EXACT, below which float32 is exact: each a adds at most
+    m (q-1)^2 to a running sum of the first product, which is reduced mod q
+    whenever the next block of a could push it past that bound, and once
+    more before the second product if its sums (w (q-1) times the running
+    bound) could.  A field too large for even one entry's sums within the
+    bound (w (q-1)^2 > _CLMUL_EXACT) gets the same steps on Python ints.
 
     The Toeplitz layout goes on the operand with fewer entries (through
     (A B)^T = B^T A^T when that is A), so a thin product such as one row
@@ -671,65 +767,78 @@ def _clmul_planes(ctx: FieldCtx, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     Toeplitz block, and each block of sums, is capped at _CLMUL_BLOCK_BYTES
     by splitting over a, the columns of B and the rows of A.
     """
-    m = ctx.m
+    q, m = ctx.q, ctx.m
     P, K, _ = A.shape
     Q = B.shape[1]
     if Q > P:  # lay out the operand with fewer entries: (A B)^T = B^T A^T
         At, Bt = A.transpose(1, 0, 2), B.transpose(1, 0, 2)
         return _clmul_planes(ctx, Bt, At).transpose(0, 2, 1)
     w = 2 * m - 1
-    red = _reduction_table(m, ctx.modulus)
-    X = A.reshape(P, K * m).astype(np.float32)
+    unit = (q - 1) ** 2  # the most one product of two digits adds to a sum
+    fits = max(w * unit, m * unit + q - 1) <= _CLMUL_EXACT
+    dtype = np.float32 if fits else object
+    red = _reduction_table(ctx, dtype)
+    X = A.reshape(P, K * m).astype(dtype)
     blocks = max(1, _CLMUL_BLOCK_BYTES // (4 * m * w))  # (a, q) entries per block
     qc = max(1, blocks // max(K, 1))
-    ka = max(1, min(K, blocks // qc))
+    # a block of a adds at most step to a sum, and a reduced sum is below q
+    ka = max(1, min(K, blocks // qc, (_CLMUL_EXACT - q + 1) // (m * unit)))
+    step = ka * m * unit
     pc = max(1, _CLMUL_BLOCK_BYTES // (4 * qc * w))  # rows of X per block of sums
-    step = ka * m  # bound on what one block of a adds to an entry of S
-    out = np.empty((m, P, Q), dtype=np.uint8)
+    out = np.empty((m, P, Q), dtype=_digit_dtype(q))
     for q0 in range(0, Q, qc):
         q1 = min(Q, q0 + qc)
-        first = _toeplitz(B[:ka, q0:q1])
+        first = _toeplitz(B[:ka, q0:q1], dtype)
         for p0 in range(0, P, pc):
             p1 = min(P, p0 + pc)
             S = X[p0:p1, : ka * m] @ first
             top = step  # bound on the entries of S
             for a0 in range(ka, K, ka):
                 if top + step > _CLMUL_EXACT:
-                    S = _mod2(S).astype(np.float32)
-                    top = 1
-                S += X[p0:p1, a0 * m : (a0 + ka) * m] @ _toeplitz(B[a0 : a0 + ka, q0:q1])
+                    S = _mod_q(S, q).astype(dtype)
+                    top = q - 1
+                S += X[p0:p1, a0 * m : (a0 + ka) * m] @ _toeplitz(B[a0 : a0 + ka, q0:q1], dtype)
                 top += step
-            if top * w > _CLMUL_EXACT:
-                S = _mod2(S).astype(np.float32)
-            Z = _mod2(S.reshape((p1 - p0) * (q1 - q0), w) @ red)
+            if top * w * (q - 1) > _CLMUL_EXACT:
+                S = _mod_q(S, q).astype(dtype)
+            Z = _mod_q(S.reshape((p1 - p0) * (q1 - q0), w) @ red, q)
             out[:, p0:p1, q0:q1] = Z.reshape(p1 - p0, q1 - q0, m).transpose(2, 0, 1)
     return out
 
 
-def _f2_matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """The product mod 2 of 0/1 arrays A (..., K) and float32 B (K, Q), as
-    int32: exact float32 products over at most _CLMUL_EXACT terms each."""
-    K, E = B.shape[0], _CLMUL_EXACT
-    out = _mod2(A[..., :E].astype(np.float32) @ B[:E])
-    for a0 in range(E, K, E):
-        out ^= _mod2(A[..., a0 : a0 + E].astype(np.float32) @ B[a0 : a0 + E])
+def _fq_matmul(A: np.ndarray, B: np.ndarray, q: int) -> np.ndarray:
+    """The product mod q of arrays A (..., K) and B (K, Q) with entries in
+    [0, q), as int32: exact float32 products over chunks of K short enough
+    that no sum passes _CLMUL_EXACT (Python ints when one term could)."""
+    unit = (q - 1) ** 2
+    dtype = np.float32 if unit <= _CLMUL_EXACT else object
+    E = max(1, _CLMUL_EXACT // unit)
+    B = B.astype(dtype)
+    out = _mod_q(A[..., :E].astype(dtype) @ B[:E], q)
+    for a0 in range(E, B.shape[0], E):
+        out = _mod_q(out + _mod_q(A[..., a0 : a0 + E].astype(dtype) @ B[a0 : a0 + E], q), q)
     return out
 
 
-def _mod2(S: np.ndarray) -> np.ndarray:
-    """Integer-valued float32 entries mod 2, as int32 (np.fmod is far
-    slower)."""
+def _mod_q(S: np.ndarray, q: int) -> np.ndarray:
+    """Integer-valued entries mod q: float32 as int32 (& 1 at q=2; np.fmod
+    is far slower), Python ints as Python ints."""
+    if S.dtype == object:
+        return S % q
     S = S.astype(np.int32)
-    S &= 1
+    if q == 2:
+        S &= 1
+    else:
+        S %= q
     return S
 
 
-def _toeplitz(Y: np.ndarray) -> np.ndarray:
-    """Coefficient bits Y (K, Q, m) laid out as the (K m, Q (2m-1)) float32
-    matrix with entry ((a, i), (q, s)) = Y[a, q, s - i] (0 outside the
-    range): row (a, i) holds the coefficients of x^i Y[a, q]."""
+def _toeplitz(Y: np.ndarray, dtype) -> np.ndarray:
+    """Coefficient digits Y (K, Q, m) laid out as the (K m, Q (2m-1))
+    matrix of dtype with entry ((a, i), (q, s)) = Y[a, q, s - i] (0 outside
+    the range): row (a, i) holds the coefficients of x^i Y[a, q]."""
     K, Q, m = Y.shape
-    pad = np.zeros((K, Q, 3 * m - 2), dtype=np.float32)
+    pad = np.zeros((K, Q, 3 * m - 2), dtype=dtype)
     pad[:, :, m - 1 : 2 * m - 1] = Y
     sa, sq, se = pad.strides
     # entry (a, i, q, s) at pad[a, q, m - 1 - i + s]: a window of the padded
@@ -741,53 +850,47 @@ def _toeplitz(Y: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def _reduction_table(m: int, modulus: tuple[int, ...]) -> np.ndarray:
-    """q=2: the (2m-1) x m float32 table whose row s holds the bits of
-    x^s mod f, for F_{2^m} = F_2[x]/(f); read-only, one per field."""
-    f = sum((c & 1) << i for i, c in enumerate(modulus))
-    rows, p = [], 1
+def _reduction_table(ctx: FieldCtx, dtype) -> np.ndarray:
+    """The (2m-1) x m table of dtype whose row s holds the coefficients of
+    x^s mod f, for F_{q^m} = F_q[x]/(f); read-only, one per field."""
+    q, m, f = ctx.q, ctx.m, ctx.modulus
+    rows, p = [], [1] + [0] * (m - 1)
     for _ in range(2 * m - 1):
-        rows.append([(p >> t) & 1 for t in range(m)])
-        p <<= 1
-        if p >> m:
-            p ^= f
-    table = np.array(rows, dtype=np.float32)
+        rows.append(p)
+        top, p = p[-1], [0] + p[:-1]  # times x, then x^m = -(f - x^m)
+        if top:
+            p = [(c - top * fc) % q for c, fc in zip(p, f)]
+    table = np.array(rows, dtype=dtype)
     table.flags.writeable = False
     return table
 
 
-def solve_fq(A: MatFq, b: list[int]) -> list[int] | None:
-    """One solution of A x = b over F_q, or None if inconsistent.
+def solve_fq(q: int, system: np.ndarray) -> list[int] | None:
+    """One solution x of A x = b over F_q, given the augmented matrix
+    [A | b] as an integer array with entries in [0, q); None if
+    inconsistent.  Free variables are set to zero.
 
-    Deterministic: free variables are set to zero.  Plain RREF for every q;
-    the decoder's q=2 systems are packed and go to _solve_bits instead.
+    At q=2 the rows are packed 8 columns per byte and bulk-loaded into a
+    _BitEchelon; at odd q they go to the F_q echelon (_fq_rref).
     """
-    if len(b) != A.rows:
-        raise ValueError("shape mismatch")
-    q = A.q
-    aug = [list(r) + [bb % q] for r, bb in zip(A.data, b)]
-    _rref_rows_fq(aug, q, A.cols + 1)
-    pivs = _pivot_cols(aug, A.cols + 1)
-    if A.cols in pivs:
+    cols = system.shape[1] - 1
+    if q == 2:
+        ech = _BitEchelon(cols + 1)
+        ech.load(np.packbits(system.astype(np.uint8), axis=1, bitorder="little"))
+        if cols in ech.pivots:
+            return None  # a row reduced to 0 = 1
+        # the right-hand side is a non-pivot column fixed to 1; free
+        # variables stay zero
+        x = ech.complete(1 << cols)
+        return [(x >> j) & 1 for j in range(cols)]
+    A = _fq_array(q, system, cols + 1)
+    pivots = _fq_rref(A, q)
+    if cols in pivots:
         return None
-    x = [0] * A.cols
-    for i, p in enumerate(pivs):
-        x[p] = aug[i][A.cols]
+    x = [0] * cols
+    for i, p in enumerate(pivots):
+        x[p] = int(A[i, cols])
     return x
-
-
-def _solve_bits(rows: np.ndarray, cols: int) -> list[int] | None:
-    """F_2 solve of packed uint8 rows (as _BitEchelon.load takes them) with
-    the right-hand side in column `cols`; None if inconsistent, free
-    variables zero."""
-    ech = _BitEchelon(cols + 1)
-    ech.load(rows)
-    if cols in ech.pivots:
-        return None  # a row reduced to 0 = 1
-    # the right-hand side is a non-pivot column fixed to 1; free variables
-    # stay zero
-    x = ech.complete(1 << cols)
-    return [(x >> j) & 1 for j in range(cols)]
 
 
 def solve_left(A: MatFqm, B: MatFqm) -> MatFqm | None:

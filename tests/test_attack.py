@@ -1,5 +1,7 @@
 """Stabilizer algebras, idempotent extraction, and both key-recovery attacks."""
 
+import time
+
 import pytest
 
 from rankcrypt import linalg as la
@@ -15,7 +17,7 @@ from rankcrypt.attack import (
 from rankcrypt.codes import Code, gabidulin, qsum, random_code
 from rankcrypt.decoder import prepare
 from rankcrypt.fields import field
-from rankcrypt.gpt import GptParams, encrypt, keygen, make_plan
+from rankcrypt.gpt import GptParams, decrypt, encrypt, keygen, make_plan
 from rankcrypt.linalg import MatFq, MatFqm
 from rankcrypt.rng import derive_rng, make_rng
 
@@ -281,15 +283,16 @@ def test_overbeck_rejects_length_mismatch():
 
 
 def _full_system_basis(C):
-    """Stabilizer basis from every constraint g_a (x) h_b fed to fq_kernel:
-    the reference the q=2 probes and exact checks must reproduce."""
+    """Stabilizer basis from every constraint g_a (x) h_b, built with the
+    field's mul_row and fed to fq_kernel: the reference the q=2 probes and
+    exact checks, and the odd-q digit-plane system, must reproduce."""
     ctx, N = C.ctx, C.n
     H = la.right_kernel(C.gen)
     rows = (
         [p for gu in ga for p in ctx.mul_row(gu, hb)] for ga in C.gen.data for hb in H.data
     )
     vecs = la.fq_kernel(ctx, rows, N * N).data
-    return [MatFq(2, [vec[u * N : (u + 1) * N] for u in range(N)], N) for vec in vecs]
+    return [MatFq(ctx.q, [vec[u * N : (u + 1) * N] for u in range(N)], N) for vec in vecs]
 
 
 def _probe_rows(C):
@@ -297,9 +300,7 @@ def _probe_rows(C):
     return -(-C.n * C.n // C.ctx.m) * C.ctx.m
 
 
-def _block_diagonal_code():
-    ctx = field(2, 12)
-    rng = make_rng(505)
+def _block_diagonal_code(ctx, rng):
     A = random_code(ctx, 5, 2, rng)
     B = random_code(ctx, 6, 2, rng)
     return Code(A.gen.hstack(MatFqm.zeros(ctx, 2, 6)).vstack(MatFqm.zeros(ctx, 2, 5).hstack(B.gen)))
@@ -315,7 +316,7 @@ _PROBE_CASES = {
     "m3": lambda: random_code(field(2, 3), 6, 2, make_rng(508)),
     "m4": lambda: random_code(field(2, 4), 8, 5, make_rng(509)),
     "m16": lambda: random_code(field(2, 16), 12, 5, make_rng(510)),
-    "block-diagonal": _block_diagonal_code,
+    "block-diagonal": lambda: _block_diagonal_code(field(2, 12), make_rng(505)),
     "full-space": lambda: Code(MatFqm.identity(field(2, 8), 4)),
     "m28-low-rank": lambda: qsum(Code(_low_rank_instance(2)[3].G_pub), 1),
     "m104-twisted": _twisted_qsum_m104,
@@ -356,7 +357,47 @@ def test_probe_stabilizer_witness_rows(k, seed):
     assert alg.basis == _full_system_basis(C)
 
 
+@pytest.mark.parametrize("q, m, n, k", [(3, 8, 8, 3), (3, 5, 7, 4), (5, 4, 6, 2), (7, 3, 5, 3)])
+def test_stabilizer_at_odd_q_matches_field_products(q, m, n, k):
+    C = random_code(field(q, m), n, k, make_rng(512 + q * m))
+    assert stabilizer(C).basis == _full_system_basis(C)
+    block = _block_diagonal_code(field(q, m), make_rng(513))
+    alg = stabilizer(block)
+    assert alg.basis == _full_system_basis(block) and alg.dim >= 2
+
+
 def test_stabilizer_rows_fed_at_odd_q_is_the_full_system():
     ctx = field(3, 8)
     C = random_code(ctx, 8, 3, make_rng(511))
     assert stabilizer(C).rows_fed == 3 * 5 * 8
+
+
+# -- odd q end to end -------------------------------------------------------------
+
+
+def test_odd_q_end_to_end_at_q5():
+    # (q, m, n, k, lambda, s) = (5, 8, 8, 3, 2, 1): decrypt and Overbeck
+    # break all three keys; the stabilizer has dimension 28 on each, and
+    # the pencil search finds the idempotent on keys 0 and 2 but not on
+    # key 1, which needs the general algebra decomposition.  Most of the
+    # time is key 1's pencils: thousands of 10 x 10 F_5 ranks.  The bound,
+    # about twice the 1.8-2.9 s measured on a 2-core machine, so also
+    # catches a doubled small-matrix cost of the F_q echelon.
+    t0 = time.perf_counter()
+    params = GptParams(field(5, 8), n=8, k=3, lam=2, s=1)
+    ctx = params.ctx
+    extension = []
+    for i in range(3):
+        rng = derive_rng(77, i)
+        sk, pk = keygen(params, rng)
+        msg = [ctx.random(rng) for _ in range(params.k)]
+        c = encrypt(pk, msg, rng)
+        assert decrypt(sk, c) == msg
+        ovb = attack_overbeck(pk, c, rng)
+        assert ovb.success and ovb.recovered == msg
+        ext = attack_extension(pk, c)
+        assert ext.stab_dim == 28
+        assert not ext.success or ext.recovered == msg  # never a wrong message
+        extension.append(ext.success or ext.failure.split(":")[0])
+    assert extension == [True, "general_decomposition_required", True]
+    assert time.perf_counter() - t0 < 5.0

@@ -3,6 +3,7 @@
 import pytest
 
 from rankcrypt import linalg as la
+from rankcrypt.attack import stabilizer
 from rankcrypt.codes import Code, gabidulin, prw_parameters, random_code, twisted_gabidulin
 from rankcrypt.decoder import (
     _error_over_support,
@@ -178,19 +179,18 @@ def _combine(ctx, coeffs, kappa):
 
 
 def _error_over_support_expanded(ctx, H, syndrome, kappa, n):
-    """Step 2 through the expanded MatFq system: the reference for the
-    bit-packed q=2 path."""
-    rows = []
-    for hrow in H.data:
-        row = []
-        for a in hrow:
-            row.extend(ctx.mul(a, kp) if a else 0 for kp in kappa)
-        rows.append(row)
-    A, b = la.expand_fq_system(MatFqm(ctx, rows, n * len(kappa)), syndrome)
-    x = la.solve_fq(A, b)
-    if x is None:
-        return None
+    """Step 2 through the F_q system expanded from field products and put
+    in RREF: the reference for the digit-plane system and its solve."""
     r = len(kappa)
+    rows = [
+        [ctx.mul(a, kp) for a in hrow for kp in kappa] + [s] for hrow, s in zip(H.data, syndrome)
+    ]
+    R, _, pivots = la.rref(la.expand_fq_system(MatFqm(ctx, rows, n * r + 1)))
+    if n * r in pivots:
+        return None
+    x = [0] * (n * r)
+    for row, p in zip(R.data, pivots):
+        x[p] = row[n * r]
     return [_combine(ctx, x[c * r : (c + 1) * r], kappa) for c in range(n)]
 
 
@@ -222,18 +222,28 @@ def test_packed_step_two_matches_expanded_system(m):
 
 
 def test_no_field_arithmetic_in_q2_products_and_step_two(monkeypatch):
-    ctx = field(2, 28)
-    rng = make_rng(315)
-    n, k = 12, 5
-    H = la.right_kernel(random_code(ctx, n, k, rng).gen)
+    _check_no_field_arithmetic(field(2, 28), make_rng(315), monkeypatch)
+
+
+def test_no_field_arithmetic_at_odd_q(monkeypatch):
+    _check_no_field_arithmetic(field(3, 12), make_rng(316), monkeypatch)
+
+
+def _check_no_field_arithmetic(ctx, rng, monkeypatch):
+    # products, step 2 and the stabilizer of a code in canonical form run on
+    # coefficient digit planes: no mul, mul_row or mac_row
+    q, n, k = ctx.q, 12, 5
+    C = random_code(ctx, n, k, rng)
+    H = la.right_kernel(C.gen)
     kappa = la.random_independent_vec(ctx, 3, rng)
-    e = [_combine(ctx, rng.integers(0, 2, 3).tolist(), kappa) for _ in range(n)]
+    e = [_combine(ctx, rng.integers(0, q, 3).tolist(), kappa) for _ in range(n)]
     syndrome = la.mat_vec(ctx, H, e)
-    # kappa = [1] confines e to F_2^n, whose syndromes H e^T fill at most
+    # kappa = [1] confines e to F_q^n, whose syndromes H e^T fill at most
     # n of the (n-k) m dimensions: a random syndrome is inconsistent
     wrong = [ctx.random(rng) for _ in range(n - k)]
     assert _error_over_support_expanded(ctx, H, wrong, [1], n) is None
     want = _error_over_support_expanded(ctx, H, syndrome, kappa, n)
+    want_stab = stabilizer(C).basis
     calls = []
 
     def counting(name, method):
@@ -247,11 +257,12 @@ def test_no_field_arithmetic_in_q2_products_and_step_two(monkeypatch):
         monkeypatch.setattr(type(ctx), name, counting(name, getattr(type(ctx), name)))
     A, B = MatFqm.random(ctx, 4, 6, rng), MatFqm.random(ctx, 6, 3, rng)
     A @ B
-    A @ la.MatFq.identity(2, 6)
+    A @ la.MatFq.identity(q, 6)
     la.vec_mat(ctx, A.data[0], B)
     la.mat_vec(ctx, A, B.transpose().data[0])
     assert _error_over_support(ctx, H, syndrome, kappa, n) == want
     assert _error_over_support(ctx, H, wrong, [1], n) is None
+    assert stabilizer(C).basis == want_stab
     assert calls == []
 
 

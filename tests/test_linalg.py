@@ -105,6 +105,14 @@ def test_expand_fq_system_vs_enumeration():
             assert tuple(row) in sols
 
 
+def _augmented(ctx, M, rhs):
+    """The expanded F_q system of M u = rhs as one [A | b] array."""
+    A = la.expand_fq_system(M)
+    b = [d for s in rhs for d in ctx.coeffs(s)]
+    system = np.array([row + [d] for row, d in zip(A.data, b)], dtype=np.int64)
+    return system.reshape(A.rows, A.cols + 1)
+
+
 def test_solve_fq_consistent_and_inconsistent():
     ctx = field(2, 8)
     rng = make_rng(47)
@@ -112,13 +120,11 @@ def test_solve_fq_consistent_and_inconsistent():
         M = MatFqm.random(ctx, 3, 6, rng)
         u = [int(rng.integers(0, 2)) for _ in range(6)]
         rhs = la.mat_vec(ctx, M, u)
-        A, b = la.expand_fq_system(M, rhs)
-        got = la.solve_fq(A, b)
+        got = la.solve_fq(2, _augmented(ctx, M, rhs))
         assert got is not None
         assert la.mat_vec(ctx, M, got) == rhs
     # inconsistent: constraint 0*u = 1
-    A, b = la.expand_fq_system(MatFqm(ctx, [[0, 0]], 2), [1])
-    assert la.solve_fq(A, b) is None
+    assert la.solve_fq(2, _augmented(ctx, MatFqm(ctx, [[0, 0]], 2), [1])) is None
 
 
 def test_random_gl_and_inverse():
@@ -233,9 +239,9 @@ def test_random_independent_vec():
 
 
 def _entries(ctx, rng, count):
-    """count elements, about half of them 0, 1 or x^(m-1), the rest random
-    and all-ones (the most carries)."""
-    special = [0, 1, 1 << (ctx.m - 1), (1 << ctx.m) - 1]
+    """count elements, about half of them 0, 1, x^(m-1) or the one with
+    every coefficient q-1 (the largest sums), the rest random."""
+    special = [0, 1, ctx.q ** (ctx.m - 1), ctx.order - 1]
     return [
         special[int(rng.integers(4))] if rng.integers(2) else ctx.random(rng)
         for _ in range(count)
@@ -267,8 +273,8 @@ def test_clmul_planes_is_the_matrix_product(m, block_bytes, monkeypatch):
     for P, K, Q in ((1, 6, 5), (4, 1, 9), (3, 7, 2), (2, 0, 3)):
         A = MatFqm(ctx, [_entries(ctx, rng, K) for _ in range(P)], K)
         B = MatFqm(ctx, [_entries(ctx, rng, Q) for _ in range(K)], Q)
-        bitsA = la._coeff_bits(ctx, [e for r in A.data for e in r]).reshape(P, K, m)
-        bitsB = la._coeff_bits(ctx, [e for r in B.data for e in r]).reshape(K, Q, m)
+        bitsA = la._matrix_digits(ctx, A)
+        bitsB = la._matrix_digits(ctx, B)
         planes = la._clmul_planes(ctx, bitsA, bitsB)
         expected = [e for r in _field_product(ctx, A, B) for e in r]
         assert la._pack_rows(planes.reshape(m, P * Q)) == la._bit_rows(ctx, expected)
@@ -277,29 +283,39 @@ def test_clmul_planes_is_the_matrix_product(m, block_bytes, monkeypatch):
 @pytest.mark.parametrize("factor", [1, 3, 40])
 @pytest.mark.parametrize("m", [3, 28, 104])
 def test_products_reduce_before_the_float32_bound(m, factor, monkeypatch):
+    _check_sums_within_the_bound(field(2, m), factor, make_rng(750 + m), monkeypatch)
+
+
+@pytest.mark.parametrize("factor", [1, 3, 40])
+@pytest.mark.parametrize("q, m", [(3, 4), (5, 12), (7, 3), (3, 41)])
+def test_products_reduce_before_the_float32_bound_at_odd_q(q, m, factor, monkeypatch):
+    _check_sums_within_the_bound(field(q, m), factor, make_rng(760 + q * m), monkeypatch)
+
+
+def _check_sums_within_the_bound(ctx, factor, rng, monkeypatch):
     # with the bound lowered to a few times the smallest it can be (one
-    # entry's 2m-1 reduced sums), the running sums of _clmul_planes go
-    # through every mod 2 reduction (before a block of a, before the
-    # reduction table, or neither), and so do the F_2 right operands' sums
-    # over K; no sum handed to _mod2 may exceed the bound
-    exact = factor * (2 * m - 1)
+    # entry's 2m-1 reduced sums of terms up to (q-1)^2), the running sums of
+    # _clmul_planes go through every mod q reduction (before a block of a,
+    # before the reduction table, or neither), and so do the F_q right
+    # operands' sums over K; no sum handed to _mod_q may exceed the bound
+    q, m = ctx.q, ctx.m
+    unit = (q - 1) ** 2
+    exact = factor * (2 * m - 1) * unit
     monkeypatch.setattr(la, "_CLMUL_EXACT", exact)
     monkeypatch.setattr(la, "_CLMUL_BLOCK_BYTES", 1)
     seen = []
 
-    def mod2(S):
+    def mod_q(S, q):
         seen.append(float(S.max()) if S.size else 0.0)
-        return _mod2(S)
+        return _mod_q(S, q)
 
-    _mod2 = la._mod2
-    monkeypatch.setattr(la, "_mod2", mod2)
-    ctx = field(2, m)
-    rng = make_rng(750 + m)
-    top = (1 << m) - 1
-    K_long = 2 * exact + 1  # F_2 sums over more than two chunks of K
+    _mod_q = la._mod_q
+    monkeypatch.setattr(la, "_mod_q", mod_q)
+    top = ctx.order - 1
+    K_long = 2 * (exact // unit) + 1  # F_q sums over more than two chunks of K
     for P, K, Q in ((2, 9, 3), (1, 1, 1), (3, 4, 2), (1, K_long, 1)):
         A = MatFqm(ctx, [[top] * K] + [_entries(ctx, rng, K) for _ in range(P - 1)], K)
-        F = MatFq(2, [[1] * Q for _ in range(K)], Q)
+        F = MatFq(q, [[q - 1] * Q for _ in range(K)], Q)
         assert (A @ F).data == _field_product(ctx, A, F), (P, K, Q)
         if K == K_long:
             continue
@@ -324,9 +340,21 @@ def _field_product(ctx, A, B) -> list[list[int]]:
 
 @pytest.mark.parametrize("m", [2, 3, 8, 16, 28, 40, 104, 192])
 def test_matmul_at_q2_is_the_field_product(m):
-    ctx = field(2, m)
-    rng = make_rng(800 + m)
-    top = (1 << m) - 1
+    _check_products(field(2, m), make_rng(800 + m))
+
+
+# q^m passes 2^64 at (3, 41), (5, 28) and (7, 23); at q=4099 even one
+# product of two digits passes the float32 bound, so the sums are Python ints
+@pytest.mark.parametrize(
+    "q, m", [(3, 4), (3, 12), (3, 41), (5, 8), (5, 28), (7, 3), (7, 23), (4099, 2)]
+)
+def test_matmul_at_odd_q_is_the_field_product(q, m):
+    _check_products(field(q, m), make_rng(850 + q * m))
+
+
+def _check_products(ctx, rng):
+    q = ctx.q
+    top = ctx.order - 1  # every coefficient q-1
 
     def fqm(rows, cols, fill=None):
         data = [_entries(ctx, rng, cols) if fill is None else [fill] * cols for _ in range(rows)]
@@ -334,15 +362,15 @@ def test_matmul_at_q2_is_the_field_product(m):
 
     def fq(rows, cols, fill=None):
         if fill is None:
-            return MatFq(2, rng.integers(0, 2, (rows, cols)).tolist(), cols)
-        return MatFq(2, [[fill] * cols for _ in range(rows)], cols)
+            return MatFq(q, rng.integers(0, q, (rows, cols)).tolist(), cols)
+        return MatFq(q, [[fill] * cols for _ in range(rows)], cols)
 
-    # 0 rows, 0 inner, 0 columns, 1 x 1, dense, all-ones; then right
-    # operands random and all-ones, over F_{2^m} and over F_2
+    # 0 rows, 0 inner, 0 columns, 1 x 1, dense, all q-1; then right
+    # operands random and all q-1, over F_{q^m} and over F_q
     shapes = [(fqm(0, 3), 4), (fqm(3, 0), 4), (fqm(3, 4), 0), (fqm(1, 1), 1), (fqm(4, 6), 5)]
     shapes.append((fqm(2, 3, top), 4))
     for A, Q in shapes:
-        for B in (fqm(A.cols, Q), fqm(A.cols, Q, top), fq(A.cols, Q), fq(A.cols, Q, 1)):
+        for B in (fqm(A.cols, Q), fqm(A.cols, Q, top), fq(A.cols, Q), fq(A.cols, Q, q - 1)):
             got, want = A @ B, _field_product(ctx, A, B)
             assert (got.rows, got.cols) == (A.rows, Q)
             assert got.data == want, (A, B)
@@ -352,9 +380,21 @@ def test_matmul_at_q2_is_the_field_product(m):
             if Q:
                 assert la.mat_vec(ctx, A, [r[0] for r in B.data]) == [r[0] for r in want]
     A = fqm(5, 5)
-    for I in (MatFqm.identity(ctx, 5), MatFq.identity(2, 5)):
+    for I in (MatFqm.identity(ctx, 5), MatFq.identity(q, 5)):
         assert (A @ I).data == A.data
     assert (MatFqm.identity(ctx, 5) @ A).data == A.data
+
+
+def test_digits_round_trip_past_one_int64_limb():
+    # q^m > 2^64: the encodings span two or more int64 limbs
+    for q, m in ((3, 41), (5, 28), (7, 23)):
+        ctx = field(q, m)
+        rng = make_rng(870 + q)
+        c = len(la._limb_powers(q, m))  # digits per limb
+        elems = _entries(ctx, rng, 40) + [q**c, q**c - 1, q ** (2 * c) % ctx.order]
+        digits = la._coeff_digits(ctx, elems)
+        assert digits.tolist() == [ctx.coeffs(a) for a in elems]
+        assert la._from_digits(ctx, digits) == elems
 
 
 def _random_f2_rows(rng, count, width, density=0.5):
@@ -414,3 +454,139 @@ def test_bit_echelon_load_needs_an_empty_echelon_and_the_row_width():
     ech.add(1)
     with pytest.raises(ValueError):
         ech.load(np.zeros((2, 2), np.uint8))
+
+
+# -- the F_q echelon against the list version it replaced ---------------------
+
+
+def _rref_rows_fq(data, q, cols):
+    """In-place RREF of a list of F_q rows; returns the rank.  The list
+    echelon that linalg._fq_rref replaced, kept as its reference."""
+    rank = 0
+    for j in range(cols):
+        src = next((i for i in range(rank, len(data)) if data[i][j]), None)
+        if src is None:
+            continue
+        data[rank], data[src] = data[src], data[rank]
+        row = data[rank]
+        if row[j] != 1:
+            inv = pow(row[j], -1, q)
+            data[rank] = row = [(inv * e) % q for e in row]
+        for i in range(len(data)):
+            a = data[i][j]
+            if i != rank and a:
+                data[i] = [(e - a * p) % q for e, p in zip(data[i], row)]
+        rank += 1
+        if rank == len(data):
+            break
+    return rank
+
+
+def _ref_rref(q, rows, cols):
+    """(RREF rows without the zero ones, pivot columns) by the reference."""
+    data = [list(r) for r in rows]
+    rank = _rref_rows_fq(data, q, cols)
+    return data[:rank], [next(j for j, a in enumerate(r) if a) for r in data[:rank]]
+
+
+def _ref_kernel(M):
+    R, pivots = _ref_rref(M.q, M.data, M.cols)
+    basis = []
+    for f in (j for j in range(M.cols) if j not in pivots):
+        v = [0] * M.cols
+        v[f] = 1
+        for row, p in zip(R, pivots):
+            v[p] = -row[f] % M.q
+        basis.append(v)
+    return basis
+
+
+def _ref_matmul(A, B):
+    q = A.q
+    return [
+        [sum(a * brow[j] for a, brow in zip(row, B.data)) % q for j in range(B.cols)]
+        for row in A.data
+    ]
+
+
+def _ref_solve(q, rows, cols, b):
+    R, pivots = _ref_rref(q, [r + [bb] for r, bb in zip(rows, b)], cols + 1)
+    if cols in pivots:
+        return None
+    x = [0] * cols
+    for row, p in zip(R, pivots):
+        x[p] = row[cols]
+    return x
+
+
+def _fq_cases(q, rng):
+    """Seeded F_q matrices of every shape the echelon meets."""
+    def rand(r, c):
+        return MatFq.random(q, r, c, rng)
+
+    low = MatFq(q, _ref_matmul(rand(7, 2), rand(2, 6)), 6)  # rank at most 2
+    dup = rand(5, 5)
+    dup = MatFq(q, dup.data[:4] + [dup.data[0]], 5)  # square and singular
+    return {
+        "0x4": MatFq(q, [], 4),
+        "3x0": MatFq(q, [[], [], []], 0),
+        "1x1": rand(1, 1),
+        "1x1 zero": MatFq.zeros(q, 1, 1),
+        "tall": rand(11, 4),
+        "wide": rand(4, 11),
+        "square": rand(8, 8),
+        "rank-deficient": low,
+        "singular": dup,
+        "identity": MatFq.identity(q, 5),
+        "zero": MatFq.zeros(q, 4, 6),
+    }
+
+
+# int16 entries up to q=181, int64 beyond, Python ints past 3 * 10^9
+@pytest.mark.parametrize("q", [2, 3, 5, 7, 181, 4099, 2**61 - 1])
+def test_fq_echelon_matches_the_list_reference(q):
+    rng = make_rng(900 + q)
+    for name, M in _fq_cases(q, rng).items():
+        R_ref, pivots_ref = _ref_rref(q, M.data, M.cols)
+        R, rk, pivots = la.rref(M)
+        assert (R.data, rk, pivots) == (R_ref, len(R_ref), pivots_ref), name
+        assert la.rank(M) == len(R_ref), name
+        assert la.right_kernel(M).data == _ref_kernel(M), name
+        I = MatFq.zeros(q, 0, 0) if not M.cols else MatFq.identity(q, M.cols)
+        for B in (MatFq.random(q, M.cols, 3, rng), MatFq.zeros(q, M.cols, 0), I):
+            assert (M @ B).data == _ref_matmul(M, B), name
+        if M.rows == M.cols:
+            aug = [r + [int(i == j) for j in range(M.rows)] for i, r in enumerate(M.data)]
+            R_aug, pivots_aug = _ref_rref(q, aug, 2 * M.rows)
+            if pivots_aug == list(range(M.rows)):
+                assert M.inverse().data == [r[M.rows :] for r in R_aug], name
+            else:
+                with pytest.raises(ValueError):
+                    M.inverse()
+        # right-hand sides: M x for a random x (consistent), a random one,
+        # and e_0 (inconsistent whenever row 0 of M is zero, as for "zero")
+        x = rng.integers(0, q, M.cols).tolist()
+        rhs = [[sum(a * b for a, b in zip(r, x)) % q for r in M.data]]
+        rhs += [rng.integers(0, q, M.rows).tolist(), [int(i == 0) for i in range(M.rows)]]
+        for b in rhs:
+            system = np.array([r + [bb] for r, bb in zip(M.data, b)], dtype=np.int64)
+            got = la.solve_fq(q, system.reshape(M.rows, M.cols + 1))
+            assert got == _ref_solve(q, M.data, M.cols, b), name
+        if name == "zero":
+            assert got is None
+        # the rows as coefficient vectors of F_{q^m} elements, m = M.cols
+        if 1 <= M.cols <= 8 and q < 10:
+            ctx = field(q, M.cols)
+            assert la.rank_fq(ctx, [ctx.encode(r) for r in M.data]) == len(R_ref), name
+
+
+@pytest.mark.parametrize("q", [3, 5, 7])
+def test_fq_kernel_at_odd_q_matches_the_list_reference(q):
+    ctx = field(q, 4)
+    rng = make_rng(950 + q)
+    for rows in (0, 1, 2, 3):
+        M = MatFqm.random(ctx, rows, 6, rng)
+        expanded = [[ctx.coeffs(a)[t] for a in row] for row in M.data for t in range(ctx.m)]
+        want = _ref_kernel(MatFq(q, expanded, 6))
+        assert la.fq_kernel(ctx, M.data, 6).data == want
+        assert la.expand_fq_system(M).data == expanded
