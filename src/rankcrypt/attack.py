@@ -120,7 +120,7 @@ def stabilizer(C: Code) -> StabilizerAlgebra:
     G = C.gen
     H = la.right_kernel(G)
     if ctx.q == 2:
-        vecs, rows_fed = _kernel_by_probes(ctx, G, H)
+        vecs, rows_fed = _kernel_by_probes(ctx, G, H, C.pivots)
     else:
         system = _full_system(ctx, G, H)
         vecs = la._fq_kernel(la._fq_array(ctx.q, system, N * N), ctx.q).tolist()
@@ -142,12 +142,13 @@ def _full_system(ctx, G: MatFqm, H: MatFqm) -> np.ndarray:
     return planes.reshape(m, k, N, h, N).transpose(1, 3, 0, 2, 4).reshape(k * h * m, N * N)
 
 
-def _kernel_by_probes(ctx, G: MatFqm, H: MatFqm) -> tuple[list[list[int]], int]:
+def _kernel_by_probes(
+    ctx, G: MatFqm, H: MatFqm, pivots: list[int]
+) -> tuple[list[list[int]], int]:
     """q=2: the kernel vectors of G M H^T = 0 and the number of F_2 rows fed."""
     N, m = G.cols, ctx.m
     # G is in reduced echelon form and H = right_kernel(G), so G has the
     # identity at its pivot columns and H at the others
-    pivots = [next(j for j, a in enumerate(row) if a) for row in G.data]
     free = sorted(set(range(N)) - set(pivots))
     ech = la._BitEchelon(N * N)
     fed = 0

@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import itertools
 
+import numpy as np
+
 from . import linalg as la
 from .fields import FieldCtx
 from .linalg import MatFqm
@@ -43,8 +45,17 @@ class Code:
     def k(self) -> int:
         return self.gen.rows
 
+    @property
+    def pivots(self) -> list[int]:
+        """The pivot columns of gen: the leading column of each row."""
+        return [next(j for j, a in enumerate(row) if a) for row in self.gen.data]
+
     def contains(self, v: list[int]) -> bool:
-        return la._FqmEchelon(self.ctx, self.n, self.gen.data).contains(v)
+        """Whether v is a codeword: gen is in reduced echelon form, so v is
+        in C exactly when v = v[pivots] gen."""
+        if len(v) != self.n:
+            raise ValueError(f"expected a vector of length {self.n}, got {len(v)}")
+        return la.vec_mat(self.ctx, [v[j] for j in self.pivots], self.gen) == list(v)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Code) and self.gen == other.gen
@@ -98,10 +109,8 @@ def moore_matrix(ctx: FieldCtx, g: list[int], k: int) -> MatFqm:
         raise ValueError("evaluation vector must have F_q-independent coordinates")
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
-    rows = [list(g)]
-    for _ in range(k - 1):
-        rows.append(ctx.frob_row(rows[-1]))
-    return MatFqm(ctx, rows, n)
+    powers = la._frob_digits(ctx, la._coeff_digits(ctx, g), range(k))  # [j, i]: g_j^[i]
+    return la._from_matrix_digits(ctx, powers.transpose(1, 0, 2))
 
 
 def gabidulin(ctx: FieldCtx, g: list[int], k: int) -> Code:
@@ -116,13 +125,10 @@ def twisted_moore_matrix(ctx: FieldCtx, g: list[int], k: int, tw: TwistParams) -
     n = len(g)
     tw.validate(n, k)
     rows = moore_matrix(ctx, g, k).data
-    chain = {}
-    top = rows[k - 1]
-    for e in range(k, k + max(tw.t, default=0)):
-        top = ctx.frob_row(top)
-        chain[e] = top
-    for hj, tj, ej in zip(tw.h, tw.t, tw.eta):
-        ctx.mac_row(rows[hj], ej, chain[k - 1 + tj])
+    powers = la._frob_digits(ctx, la._coeff_digits(ctx, g), [k - 1 + tj for tj in tw.t])
+    extra = la._from_matrix_digits(ctx, powers.transpose(1, 0, 2))  # rows g^[k-1+t_j]
+    for hj, ej, row in zip(tw.h, tw.eta, extra.data):
+        ctx.mac_row(rows[hj], ej, row)
     return MatFqm(ctx, rows, n)
 
 
@@ -172,38 +178,66 @@ def prw_parameters(ctx: FieldCtx, n: int, k: int, ell: int, rng) -> TwistParams:
 
 
 def _qsum_echelon(C: Code):
-    """Yield the echelon of Lambda_0(C), Lambda_1(C), ... in turn.
+    """Yield the reduced echelon forms of Lambda_0(C), Lambda_1(C), ... in
+    turn, as coefficient digits (rank, n, m) (linalg._matrix_digits), up
+    to the first saturated one (rank n): no Frobenius work is done past
+    saturation.  Read each before advancing: the next step writes to it.
 
-    One echelon object grows in place, so read it before advancing.  The
-    generator stops after yielding the first saturated echelon (rank n):
-    no Frobenius work is done past saturation."""
-    ctx, n = C.ctx, C.n
-    rows = C.gen.data
-    ech = la._FqmEchelon(ctx, n, rows)
+    Only the rows that enlarged the last q-sum are raised to the power q.
+    With D_0 the rows of C and Lambda_i = Lambda_{i-1} + span(D_i),
+    Lambda_{i+1} = C + Lambda_i^[1] = C + Lambda_{i-1}^[1] + span(D_i^[1])
+    = Lambda_i + span(D_i^[1]).  A row of the echelon form E of Lambda_i is
+    the identity at the pivot columns, so each step works on the free
+    columns: D_i^[1] (linalg._frob_digits) less its pivot entries times E
+    (one product) is what lies outside Lambda_i; its reduced echelon form
+    (linalg._fqm_rref) gives D_{i+1}; their pivot columns are cleared from
+    E (one product on the columns left free), and the rows are merged by
+    pivot column."""
+    ctx, n, q = C.ctx, C.n, C.ctx.q
+    E = la._matrix_digits(ctx, C.gen)  # C.gen is in reduced echelon form
+    pivots = C.pivots
+    new = E
     while True:
-        yield ech
-        if ech.rank == n:
+        yield E
+        if len(pivots) == n:
             return
-        rows = [ctx.frob_row(r) for r in rows]
-        for r in rows:
-            ech.add(r)
+        taken = set(pivots)
+        free = [j for j in range(n) if j not in taken]
+        F = la._frob_digits(ctx, new, [1])[..., 0, :]
+        R = F[:, free]
+        if pivots:
+            inside = la._clmul_planes(ctx, F[:, pivots], E[:, free]).transpose(1, 2, 0)
+            R = la._sub_digits(R, inside, q)
+        found = la._fqm_rref(ctx, R)  # indices into free
+        R = R[: len(found)]
+        new = np.zeros((len(found), n, ctx.m), dtype=E.dtype)
+        new[:, free] = R
+        if found:
+            added = [free[f] for f in found]
+            left = [f for f in range(len(free)) if f not in found]
+            cols = [free[f] for f in left]
+            update = la._clmul_planes(ctx, E[:, added], R[:, left]).transpose(1, 2, 0)
+            E[:, cols] = la._sub_digits(E[:, cols], update, q)
+            E[:, added] = 0
+            pivots = pivots + added
+            E = np.concatenate([E, new])[np.argsort(pivots)]
+            pivots = sorted(pivots)
 
 
 def qsum(C: Code, i: int) -> Code:
     """Lambda_i(C) = C + C^[1] + ... + C^[i]."""
     if i < 0:
         raise ValueError("i must be >= 0")
-    for ech in itertools.islice(_qsum_echelon(C), i + 1):
+    for E in itertools.islice(_qsum_echelon(C), i + 1):
         pass
-    gen = MatFqm(C.ctx, [ech.pivots[j] for j in sorted(ech.pivots)], C.n)
-    return Code(gen)
+    return Code(la._from_matrix_digits(C.ctx, E))
 
 
 def dim_profile(C: Code, i_max: int) -> list[int]:
     """[dim Lambda_i(C) for i = 0..i_max]; constant n once saturated."""
     if i_max < 0:
         raise ValueError("i_max must be >= 0")
-    dims = [ech.rank for ech in itertools.islice(_qsum_echelon(C), i_max + 1)]
+    dims = [len(E) for E in itertools.islice(_qsum_echelon(C), i_max + 1)]
     return dims + [C.n] * (i_max + 1 - len(dims))
 
 

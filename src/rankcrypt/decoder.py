@@ -6,11 +6,15 @@ linearized polynomial P of q-degree <= t with H_t P(y)^T = 0, H_t a parity
 check of Lambda_t(C); any such P annihilates the error when the radius
 condition dim Lambda_t(C) + t <= n holds.  Step 2 writes the error with
 coordinates confined to ker(P) and solves the resulting F_q system against
-the parity check H of C.  Step 1's product H_t (y, y^q, ...)^T runs on
-coefficient digit planes (MatFqm @), and step 2 builds its F_q system with
-no F_{q^m} arithmetic, as one digit-plane product of ker(P)'s basis by the
-entries of H, for every q; linalg.solve_fq then bulk-loads it into the
-F_2 echelon at q=2 and reduces it with the numpy F_q echelon at odd q.
+the parity check H of C.  Step 1's powers y, y^q, ..., y^{q^t} are one
+product with the cached matrices of the Frobenius (linalg._frob_digits),
+its product H_t (y, y^q, ...)^T runs on coefficient digit planes
+(MatFqm @) and its kernel on the digit-plane echelon; step 2 evaluates P
+on the same digit planes (LinPoly.evaluate_vec) and builds its F_q
+system with no F_{q^m} arithmetic, as one digit-plane product of ker(P)'s
+basis by the entries of H, for every q; linalg.solve_fq then bulk-loads
+it into the F_2 echelon at q=2 and reduces it with the numpy F_q echelon
+at odd q.
 What the pair of steps actually decodes is the t-closure of C; for
 Gabidulin codes and radii below (n-k)/2 that closure is C itself.
 
@@ -58,8 +62,8 @@ def max_radius(C: Code) -> int:
 
     For an [n, k] Gabidulin code this is floor((n-k)/2)."""
     best = 0
-    for t, ech in enumerate(_qsum_echelon(C)):
-        if ech.rank + t > C.n:  # by t = n+1 at the latest: a zero code never saturates
+    for t, E in enumerate(_qsum_echelon(C)):
+        if len(E) + t > C.n:  # by t = n+1 at the latest: a zero code never saturates
             break
         best = t
     return best
@@ -84,10 +88,8 @@ class PreparedCode:
         syndrome = la.mat_vec(ctx, H, y)
 
         # step 1: H_t P(y)^T = 0 is F_{q^m}-linear in the coefficients of P
-        shifts = [list(y)]
-        for _ in range(t):
-            shifts.append(ctx.frob_row(shifts[-1]))
-        A = self.Ht @ MatFqm(ctx, shifts, n).transpose()
+        shifts = la._frob_digits(ctx, la._coeff_digits(ctx, y), range(t + 1))  # [c, i]: y_c^[i]
+        A = self.Ht @ la._from_matrix_digits(ctx, shifts)
         pkernel = la.right_kernel(A)
         if pkernel.rows == 0:
             return DecodeResult("no_annihilator")

@@ -111,7 +111,7 @@ def make_plan(A: MatFq, G: MatFqm, code: PreparedCode) -> DecryptPlan:
     full row rank."""
     ctx, k = G.ctx, G.rows
     # G restricted to the pivot columns of its code's echelon form is invertible
-    cols = [next(j for j, a in enumerate(row) if a) for row in code.C.gen.data]
+    cols = code.C.pivots
     block = MatFqm(ctx, [[row[j] for j in cols] for row in G.data], k)
     readout = la.solve_left(block, MatFqm.identity(ctx, k))
     return DecryptPlan(A, code, G, cols, readout)

@@ -16,22 +16,29 @@ F_q-valued unknowns to plain F_q systems (expand_fq_system) and to their
 F_q kernel (fq_kernel), rank-metric weights (rank_fq), and the random
 samplers used by key generation.
 
-Two tools carry the work for every prime q:
+Three tools carry the work for every prime q, with no F_{q^m} arithmetic
+(only ctx.inv, once per pivot):
 
   * F_{q^m} matrices multiply as coefficient digit planes (_clmul_planes,
     or _fq_matmul for a right factor over F_q): exact float32 BLAS
     products whose sums are reduced mod q before they can pass 2^24, read
     mod q (& 1 at q=2).  vec_mat and mat_vec are one-row and one-column
-    MatFqm products, so every MatFqm product runs this way.
+    MatFqm products, so every MatFqm product runs this way, and so does
+    the Frobenius, an F_q-linear map with one cached matrix per power
+    (_frob_matrix, _frob_digits).
+  * F_{q^m} matrices go through one echelon on the same digits
+    (_fqm_rref): per pivot, the pivot row is scaled by one product and the
+    column is cleared by one outer product.  rref, rank, right_kernel,
+    solve_left, canonical forms and codes.Code use it, and the q-sums of
+    codes._qsum_echelon grow on it.
   * F_q matrices go through one numpy echelon (_fq_rref): a rank-one update
     of int16 rows per pivot, reduced mod q only when the next update could
     overflow.  rref, rank, right_kernel, MatFq.inverse, solve_fq, rank_fq
     and fq_kernel use it; at q=2, rank, rank_fq, fq_kernel and solve_fq
     pack rows into bits instead (_BitEchelon, with its bulk load).
 
-The decoder's error solve and the stabilizer attack use both.  The
-eliminations over F_{q^m} itself (_rref_rows_fqm, _FqmEchelon) still use
-the field's arithmetic.
+The decoder's error solve and the stabilizer attack use the first and the
+last.
 """
 
 from __future__ import annotations
@@ -42,57 +49,6 @@ import math
 import numpy as np
 
 from .fields import FieldCtx
-
-
-class _FqmEchelon:
-    """Incremental row echelon over F_{q^m}.
-
-    Rows are inserted one at a time; each kept row is scaled so its leading
-    entry is 1.  Only forward elimination happens here, which is all the
-    rank bookkeeping needs; full reduction is done by rref() when the
-    actual canonical matrix is wanted.
-    """
-
-    def __init__(self, ctx: FieldCtx, width: int, rows=()):
-        self.ctx = ctx
-        self.width = width
-        self.pivots: dict[int, list[int]] = {}  # pivot column -> row
-        for r in rows:
-            self.add(r)
-
-    @property
-    def rank(self) -> int:
-        return len(self.pivots)
-
-    def add(self, row: list[int]) -> bool:
-        """Insert a row; True if it enlarged the span."""
-        ctx = self.ctx
-        row = list(row)
-        for j in range(self.width):
-            a = row[j]
-            if not a:
-                continue
-            prow = self.pivots.get(j)
-            if prow is None:
-                if a != 1:
-                    row = ctx.mul_row(ctx.inv(a), row)
-                self.pivots[j] = row
-                return True
-            ctx.mac_row(row, ctx.neg(a), prow)  # prow[j] = 1, so row[j] cancels
-        return False
-
-    def contains(self, row: list[int]) -> bool:
-        ctx = self.ctx
-        row = list(row)
-        for j in range(self.width):
-            a = row[j]
-            if not a:
-                continue
-            prow = self.pivots.get(j)
-            if prow is None:
-                return False
-            ctx.mac_row(row, ctx.neg(a), prow)
-        return True
 
 
 class _BitEchelon:
@@ -292,8 +248,7 @@ class MatFqm:
             planes = _fq_matmul(digits.transpose(2, 0, 1), B, ctx.q)
         else:
             planes = _clmul_planes(ctx, digits, _matrix_digits(ctx, other))
-        entries = _from_digits(ctx, planes.reshape(ctx.m, P * Q).T)
-        return MatFqm(ctx, [entries[p * Q : (p + 1) * Q] for p in range(P)], Q)
+        return _from_matrix_digits(ctx, planes.transpose(1, 2, 0))
 
     def scale(self, a: int) -> "MatFqm":
         ctx = self.ctx
@@ -424,24 +379,46 @@ class MatFq:
 # -- echelon forms ------------------------------------------------------
 
 
-def _rref_rows_fqm(data: list[list[int]], ctx: FieldCtx, cols: int) -> int:
-    """In-place RREF of a list of F_{q^m} rows; returns the rank."""
-    rank = 0
+def _fqm_rref(ctx: FieldCtx, D: np.ndarray) -> list[int]:
+    """Reduce D, the coefficient digits (rows, cols, m) of an F_{q^m} matrix
+    as from _matrix_digits, in place to its reduced row echelon form;
+    returns the pivot columns, one per nonzero row, and leaves the rows past
+    the rank zero.
+
+    Column by column, from column j on (the pivot row is zero before j): a
+    row at or below the rank r that is nonzero at j (the RREF does not
+    depend on which) moves to row r and, unless its leading entry is 1, is
+    scaled by the inverse of that entry (ctx.inv, then one _clmul_planes
+    product).  One _clmul_planes outer product of the other nonzero entries
+    of column j by the pivot row, subtracted mod q (XOR at q=2), then
+    clears the column; a column that is already a unit vector costs no
+    product.
+    """
+    rows, cols, _ = D.shape
+    pivots: list[int] = []
     for j in range(cols):
-        src = next((i for i in range(rank, len(data)) if data[i][j]), None)
-        if src is None:
-            continue
-        data[rank], data[src] = data[src], data[rank]
-        row = data[rank]
-        if row[j] != 1:
-            data[rank] = row = ctx.mul_row(ctx.inv(row[j]), row)
-        for i in range(len(data)):
-            if i != rank and data[i][j]:
-                ctx.mac_row(data[i], ctx.neg(data[i][j]), row)
-        rank += 1
-        if rank == len(data):
+        r = len(pivots)
+        if r == rows:
             break
-    return rank
+        nonzero = D[:, j].any(axis=1)
+        s = r + int(nonzero[r:].argmax())
+        if not nonzero[s]:
+            continue
+        if s != r:
+            D[[r, s]] = D[[s, r]]
+            nonzero[s] = nonzero[r]
+        lead = D[r, j]
+        if lead[0] != 1 or lead[1:].any():
+            inv = _coeff_digits(ctx, [ctx.inv(_from_digits(ctx, lead[None])[0])])
+            D[r, j:] = _clmul_planes(ctx, inv[None], D[None, r, j:])[:, 0].T
+        nonzero[r] = False
+        others = np.flatnonzero(nonzero)
+        if others.size:
+            # planes[t, i, l]: digit t of D[others[i], j] D[r, j + l]
+            planes = _clmul_planes(ctx, D[others, j, None], D[None, r, j:])
+            D[others, j:] = _sub_digits(D[others, j:], planes.transpose(1, 2, 0), ctx.q)
+        pivots.append(j)
+    return pivots
 
 
 def _echelon_dtype(q: int):
@@ -523,27 +500,15 @@ def _fq_kernel(A: np.ndarray, q: int) -> np.ndarray:
     return K
 
 
-def _pivot_cols(data: list[list[int]], cols: int) -> list[int]:
-    """Pivot columns of rows already in RREF (leading entry per nonzero row)."""
-    out = []
-    for r in data:
-        j = next((jj for jj in range(cols) if r[jj]), None)
-        if j is None:
-            break
-        out.append(j)
-    return out
-
-
 def rref(M):
     """Reduced row echelon form with the zero rows dropped.
 
     Returns (R, rank, pivot_columns).  Works on MatFqm and MatFq.
     """
     if isinstance(M, MatFqm):
-        data = [list(r) for r in M.data]
-        rank = _rref_rows_fqm(data, M.ctx, M.cols)
-        pivs = _pivot_cols(data, M.cols)
-        return MatFqm(M.ctx, data[:rank], M.cols), rank, pivs
+        D = _matrix_digits(M.ctx, M)
+        pivs = _fqm_rref(M.ctx, D)
+        return _from_matrix_digits(M.ctx, D[: len(pivs)]), len(pivs), pivs
     if isinstance(M, MatFq):
         A = _fq_array(M.q, M.data, M.cols)
         pivs = _fq_rref(A, M.q)
@@ -553,7 +518,7 @@ def rref(M):
 
 def rank(M) -> int:
     if isinstance(M, MatFqm):
-        return _FqmEchelon(M.ctx, M.cols, M.data).rank
+        return len(_fqm_rref(M.ctx, _matrix_digits(M.ctx, M)))
     if isinstance(M, MatFq):
         if M.q == 2:  # rows packed into ints: far less overhead than numpy at these sizes
             ech = _BitEchelon(M.cols)
@@ -572,17 +537,15 @@ def right_kernel(M):
     """
     if isinstance(M, MatFq):
         return MatFq(M.q, _fq_kernel(_fq_array(M.q, M.data, M.cols), M.q).tolist(), M.cols)
-    R, rk, pivs = rref(M)
-    ctx, ncols = M.ctx, M.cols
-    free = [j for j in range(ncols) if j not in set(pivs)]
-    basis = []
-    for f in free:
-        v = [0] * ncols
-        v[f] = 1
-        for i, p in enumerate(pivs):
-            v[p] = ctx.neg(R.data[i][f])
-        basis.append(v)
-    return MatFqm(ctx, basis, ncols)
+    ctx, cols = M.ctx, M.cols
+    D = _matrix_digits(ctx, M)
+    pivots = _fqm_rref(ctx, D)
+    taken = set(pivots)
+    free = [j for j in range(cols) if j not in taken]
+    K = np.zeros((len(free), cols, ctx.m), dtype=D.dtype)
+    K[range(len(free)), free, 0] = 1
+    K[:, pivots] = _neg_digits(D[: len(pivots), free], ctx.q).transpose(1, 0, 2)
+    return _from_matrix_digits(ctx, K)
 
 
 # -- vectors ------------------------------------------------------------
@@ -718,6 +681,26 @@ def _matrix_digits(ctx: FieldCtx, M) -> np.ndarray:
     return _coeff_digits(ctx, [e for r in M.data for e in r]).reshape(M.rows, M.cols, ctx.m)
 
 
+def _from_matrix_digits(ctx: FieldCtx, D: np.ndarray) -> MatFqm:
+    """The MatFqm whose entries have the coefficient digits D (rows, cols,
+    m): the inverse of _matrix_digits."""
+    rows, cols = D.shape[:2]
+    entries = _from_digits(ctx, D.reshape(rows * cols, ctx.m))
+    return MatFqm(ctx, [entries[i * cols : (i + 1) * cols] for i in range(rows)], cols)
+
+
+def _neg_digits(D: np.ndarray, q: int) -> np.ndarray:
+    """The coefficient digits of -a for each element a with digits D."""
+    return D if q == 2 else (q - D) % q
+
+
+def _sub_digits(D: np.ndarray, E: np.ndarray, q: int) -> np.ndarray:
+    """The coefficient digits of a - b for elements a, b with digits D, E."""
+    if q == 2:
+        return D ^ E
+    return ((D.astype(np.int64) - E) % q).astype(D.dtype)
+
+
 def _pack_rows(bits: np.ndarray) -> list[int]:
     """Rows of a 0/1 matrix as ints, bit j = column j."""
     return [
@@ -747,7 +730,9 @@ def _clmul_planes(ctx: FieldCtx, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """The coefficient digits of the F_{q^m} matrix product A B, with no
     F_{q^m} arithmetic.  A (P, K, m) and B (K, Q, m) hold the coefficient
     digits of the entries (as from _coeff_digits); plane t of the (m, P, Q)
-    result holds digit t of sum_a A[p, a] B[a, q].
+    result holds digit t of sum_a A[p, a] B[a, q].  The result is a view of
+    digits stored entry by entry, so its .transpose(1, 2, 0), the layout of
+    _matrix_digits, costs no copy.
 
     Two exact float32 BLAS products per block of columns of B: the digits
     of A against the Toeplitz layout of B give the unreduced polynomial
@@ -785,7 +770,7 @@ def _clmul_planes(ctx: FieldCtx, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     ka = max(1, min(K, blocks // qc, (_CLMUL_EXACT - q + 1) // (m * unit)))
     step = ka * m * unit
     pc = max(1, _CLMUL_BLOCK_BYTES // (4 * qc * w))  # rows of X per block of sums
-    out = np.empty((m, P, Q), dtype=_digit_dtype(q))
+    out = np.empty((P, Q, m), dtype=_digit_dtype(q))
     for q0 in range(0, Q, qc):
         q1 = min(Q, q0 + qc)
         first = _toeplitz(B[:ka, q0:q1], dtype)
@@ -802,8 +787,8 @@ def _clmul_planes(ctx: FieldCtx, A: np.ndarray, B: np.ndarray) -> np.ndarray:
             if top * w * (q - 1) > _CLMUL_EXACT:
                 S = _mod_q(S, q).astype(dtype)
             Z = _mod_q(S.reshape((p1 - p0) * (q1 - q0), w) @ red, q)
-            out[:, p0:p1, q0:q1] = Z.reshape(p1 - p0, q1 - q0, m).transpose(2, 0, 1)
-    return out
+            out[p0:p1, q0:q1] = Z.reshape(p1 - p0, q1 - q0, m)
+    return out.transpose(2, 0, 1)
 
 
 def _fq_matmul(A: np.ndarray, B: np.ndarray, q: int) -> np.ndarray:
@@ -842,10 +827,9 @@ def _toeplitz(Y: np.ndarray, dtype) -> np.ndarray:
     pad[:, :, m - 1 : 2 * m - 1] = Y
     sa, sq, se = pad.strides
     # entry (a, i, q, s) at pad[a, q, m - 1 - i + s]: a window of the padded
-    # row that slides one place left per step of i
-    view = np.lib.stride_tricks.as_strided(
-        pad[:, :, m - 1 :], shape=(K, m, Q, 2 * m - 1), strides=(sa, -se, sq, se)
-    )
+    # row that slides one place left per step of i (a view of pad, built
+    # directly as np.lib.stride_tricks.as_strided would, at half its cost)
+    view = np.ndarray((K, m, Q, 2 * m - 1), dtype, pad, (m - 1) * se, (sa, -se, sq, se))
     return view.reshape(K * m, Q * (2 * m - 1))
 
 
@@ -863,6 +847,38 @@ def _reduction_table(ctx: FieldCtx, dtype) -> np.ndarray:
     table = np.array(rows, dtype=dtype)
     table.flags.writeable = False
     return table
+
+
+@functools.lru_cache(maxsize=None)
+def _frob_matrix(ctx: FieldCtx, i: int) -> np.ndarray:
+    """The m x m F_q matrix of a -> a^(q^i), 0 <= i < m: row t holds the
+    coefficient digits of (x^t)^(q^i), so the digits of a^(q^i) are those
+    of a times it, mod q.  Read-only, one per field and i."""
+    if i == 0:
+        table = np.eye(ctx.m, dtype=_digit_dtype(ctx.q))
+    else:
+        table = _coeff_digits(ctx, ctx._frob_images(i))
+    table.flags.writeable = False
+    return table
+
+
+def _frob_digits(ctx: FieldCtx, D: np.ndarray, powers) -> np.ndarray:
+    """The coefficient digits (..., len(powers), m) of a^(q^i) for every i
+    in powers and every element a with digits D (..., m).  The Frobenius is
+    F_q-linear, so this is _fq_matmul against the matrices of the powers
+    (_frob_matrix) side by side, as many per product as fit in
+    _CLMUL_BLOCK_BYTES (all of them for the decoder's powers at m=40, one
+    at a time at m=104)."""
+    q, m = ctx.q, ctx.m
+    powers = [i % m for i in powers]
+    out = np.empty((*D.shape[:-1], len(powers), m), dtype=_digit_dtype(q))
+    step = max(1, _CLMUL_BLOCK_BYTES // (4 * m * m))
+    for i0 in range(0, len(powers), step):
+        chunk = powers[i0 : i0 + step]
+        F = np.hstack([_frob_matrix(ctx, i) for i in chunk])
+        digits = _fq_matmul(D, F, q).reshape(*D.shape[:-1], len(chunk), m)
+        out[..., i0 : i0 + len(chunk), :] = digits
+    return out
 
 
 def solve_fq(q: int, system: np.ndarray) -> list[int] | None:
@@ -897,21 +913,19 @@ def solve_left(A: MatFqm, B: MatFqm) -> MatFqm | None:
     """Solve X A = B over F_{q^m}; None if inconsistent.
 
     Free variables are set to zero, so the answer is the unique solution
-    whenever A has full row rank.
+    whenever A has full row rank.  The transposed system A^T X^T = B^T is
+    reduced as the augmented matrix [A^T | B^T].
     """
     A._check(B, cols=True)
-    At = A.transpose()
-    Bt = B.transpose()
-    ctx = A.ctx
-    aug = [list(r) + list(br) for r, br in zip(At.data, Bt.data)]
-    _rref_rows_fqm(aug, ctx, A.rows + B.rows)
-    pivs = _pivot_cols(aug, A.rows + B.rows)
-    if any(p >= A.rows for p in pivs):
+    ctx, k = A.ctx, A.rows
+    aug = np.concatenate([_matrix_digits(ctx, A), _matrix_digits(ctx, B)])
+    aug = aug.transpose(1, 0, 2).copy()
+    pivots = _fqm_rref(ctx, aug)
+    if pivots and pivots[-1] >= k:
         return None
-    Xt = [[0] * B.rows for _ in range(A.rows)]
-    for i, p in enumerate(pivs):
-        Xt[p] = aug[i][A.rows :]
-    return MatFqm(ctx, Xt, B.rows).transpose()
+    Xt = np.zeros((k, B.rows, ctx.m), dtype=aug.dtype)
+    Xt[pivots] = aug[: len(pivots), k:]
+    return _from_matrix_digits(ctx, Xt.transpose(1, 0, 2))
 
 
 # -- row spaces ----------------------------------------------------------

@@ -12,8 +12,8 @@ reported as -1.
 
 from __future__ import annotations
 
+from . import linalg as la
 from .fields import FieldCtx
-from .linalg import fq_kernel
 
 
 class LinPoly:
@@ -94,15 +94,13 @@ class LinPoly:
         return acc
 
     def evaluate_vec(self, xs: list[int]) -> list[int]:
+        """[F(x) for x in xs]: the matrix of the x^[i] times the coefficient
+        vector, on coefficient digit planes (linalg._frob_digits, then
+        linalg._clmul_planes)."""
         ctx = self.ctx
-        acc = [0] * len(xs)
-        row = list(xs)
-        for i, fi in enumerate(self.coeffs):
-            if i:
-                row = ctx.frob_row(row)
-            if fi:
-                ctx.mac_row(acc, fi, row)
-        return acc
+        powers = la._frob_digits(ctx, la._coeff_digits(ctx, xs), range(len(self.coeffs)))
+        coeffs = la._coeff_digits(ctx, self.coeffs)[:, None]
+        return la._from_digits(ctx, la._clmul_planes(ctx, powers, coeffs)[:, :, 0].T)
 
     def kernel(self) -> list[int]:
         """F_q-basis of {x in F_{q^m} : F(x) = 0}, as field elements.
@@ -116,7 +114,7 @@ class LinPoly:
         units = [ctx.encode([int(i == j) for i in range(m)]) for j in range(m)]
         if self.is_zero():
             return units
-        return [ctx.encode(row) for row in fq_kernel(ctx, [self.evaluate_vec(units)], m).data]
+        return [ctx.encode(row) for row in la.fq_kernel(ctx, [self.evaluate_vec(units)], m).data]
 
     def __eq__(self, other) -> bool:
         return (

@@ -18,6 +18,7 @@ from rankcrypt.codes import (
     sample_hooks,
     twisted_gabidulin,
 )
+from rankcrypt.decoder import max_radius
 from rankcrypt.fields import field
 from rankcrypt.linalg import MatFqm
 from rankcrypt.rng import derive_rng, make_rng
@@ -290,3 +291,62 @@ def test_code_canonical_idempotent():
     msg = [ctx.random(rng) for _ in range(C.k)]
     assert C.contains(la.vec_mat(ctx, msg, C.gen))
     assert not C.contains([ctx.random(rng) for _ in range(9)]) or C.k == 9
+
+
+def test_contains_rejects_a_length_mismatch():
+    ctx = field(2, 12)
+    rng = make_rng(228)
+    C = Code(MatFqm.random(ctx, 3, 6, rng))
+    cw = la.vec_mat(ctx, [ctx.random(rng) for _ in range(3)], C.gen)
+    assert C.contains(cw)
+    for v in (cw + [5, 7], cw + [0], cw[:-1], []):
+        with pytest.raises(ValueError):
+            C.contains(v)
+    assert Code(MatFqm(ctx, [], 6)).contains([0] * 6)
+    assert not Code(MatFqm(ctx, [], 6)).contains([0] * 5 + [1])
+
+
+# -- q-sums grown from their new rows against every row raised each step -----
+
+
+def _ref_profile(C, i_max):
+    """[Lambda_i(C) for i = 0..i_max], each the code of C, C^[1], ..., C^[i]
+    with every row of C raised at every step."""
+    ctx, rows, out = C.ctx, C.gen.data, []
+    acc, shifted = list(rows), rows
+    for _ in range(i_max + 1):
+        out.append(Code(MatFqm(ctx, acc, C.n)))
+        shifted = [ctx.frob_row(r) for r in shifted]
+        acc = acc + shifted
+    return out
+
+
+def _qsum_case(kind, q, m):
+    """Gabidulin, twisted and random codes, and a code whose q-sums stall
+    at C because its generator lies over F_q."""
+    ctx = field(q, m)
+    rng = derive_rng(229, q * m)
+    g = la.random_independent_vec(ctx, 12, rng)
+    if kind == "gabidulin":
+        return gabidulin(ctx, g, 4)
+    if kind == "twisted":
+        return twisted_gabidulin(ctx, g, 7, prw_parameters(ctx, 12, 7, 2, rng))
+    if kind == "random":
+        return random_code(ctx, 12, 3, rng)
+    return Code(MatFqm(ctx, la.MatFq.random(q, 3, 12, rng).data, 12))
+
+
+@pytest.mark.parametrize("kind", ["gabidulin", "twisted", "random", "over F_q"])
+@pytest.mark.parametrize("q, m", [(2, 16), (2, 40), (3, 12)])
+def test_qsum_from_new_rows_matches_every_row_raised(kind, q, m):
+    C = _qsum_case(kind, q, m)
+    ref = _ref_profile(C, C.n)  # past every t with dim Lambda_t + t <= n
+    for i in range(C.n + 1):
+        assert qsum(C, i) == ref[i], i
+    dims = [L.k for L in ref]
+    assert dim_profile(C, C.n) == dims
+    assert max_radius(C) == max(t for t, d in enumerate(dims) if d + t <= C.n)
+    if kind == "over F_q":
+        assert dims == [3] * (C.n + 1)
+    if kind == "twisted":
+        assert dims[:3] == [7, 7 + 1 + 2 * 2, 12]

@@ -4,7 +4,7 @@ import pytest
 
 from rankcrypt import linalg as la
 from rankcrypt.attack import stabilizer
-from rankcrypt.codes import Code, gabidulin, prw_parameters, random_code, twisted_gabidulin
+from rankcrypt.codes import Code, gabidulin, prw_parameters, qsum, random_code, twisted_gabidulin
 from rankcrypt.decoder import (
     _error_over_support,
     _subspace_bases,
@@ -15,6 +15,7 @@ from rankcrypt.decoder import (
     prepare,
 )
 from rankcrypt.fields import field
+from rankcrypt.gpt import make_plan
 from rankcrypt.linalg import MatFqm
 from rankcrypt.rng import derive_rng, make_rng
 
@@ -230,8 +231,9 @@ def test_no_field_arithmetic_at_odd_q(monkeypatch):
 
 
 def _check_no_field_arithmetic(ctx, rng, monkeypatch):
-    # products, step 2 and the stabilizer of a code in canonical form run on
-    # coefficient digit planes: no mul, mul_row or mac_row
+    # products, eliminations, q-sums, the decryption plan, both decoder steps
+    # and the stabilizer of a code in canonical form run on coefficient
+    # digit planes: no mul, mul_row, mac_row or frob_row (ctx.inv is allowed)
     q, n, k = ctx.q, 12, 5
     C = random_code(ctx, n, k, rng)
     H = la.right_kernel(C.gen)
@@ -244,6 +246,16 @@ def _check_no_field_arithmetic(ctx, rng, monkeypatch):
     assert _error_over_support_expanded(ctx, H, wrong, [1], n) is None
     want = _error_over_support_expanded(ctx, H, syndrome, kappa, n)
     want_stab = stabilizer(C).basis
+    # a Gabidulin code to decode and decrypt through, and what to expect
+    gab = gabidulin(ctx, la.random_independent_vec(ctx, n, rng), k)
+    t = max_radius(gab)
+    S = la.random_invertible_matfqm(ctx, k, rng)
+    cw, _, y = _planted(ctx, gab, t, rng)
+    want_decode = prepare(gab, t).decode(y)
+    M = MatFqm.random(ctx, 4, 7, rng)
+    XM = MatFqm.random(ctx, 2, 4, rng) @ M  # X M = XM is consistent
+    want_linalg = (la.rref(M), la.right_kernel(M).data, la.solve_left(M, XM), la.rank(M))
+    want_sums = [qsum(gab, i) for i in range(t + 1)]
     calls = []
 
     def counting(name, method):
@@ -253,8 +265,20 @@ def _check_no_field_arithmetic(ctx, rng, monkeypatch):
 
         return wrapper
 
-    for name in ("mul", "mul_row", "mac_row"):
+    for name in ("mul", "mul_row", "mac_row", "frob_row"):
         monkeypatch.setattr(type(ctx), name, counting(name, getattr(type(ctx), name)))
+    got_linalg = (la.rref(M), la.right_kernel(M).data, la.solve_left(M, XM), la.rank(M))
+    assert got_linalg == want_linalg and want_linalg[2] is not None
+    assert la.solve_left(M, MatFqm.identity(ctx, 7)) is None  # 4 rows cannot span F^7
+    assert Code(gab.gen) == gab and Code(S @ gab.gen) == gab
+    assert gab.contains(cw) and not gab.contains(y)
+    assert [qsum(gab, i) for i in range(t + 1)] == want_sums
+    assert max_radius(gab) == t
+    prepared = prepare(gab, t)
+    assert prepared.decode(y) == want_decode and want_decode.codeword == cw
+    plan = make_plan(la.MatFq.identity(q, n), S @ gab.gen, prepared)
+    msg = plan.decrypt(y)
+    assert la.vec_mat(ctx, msg, S @ gab.gen) == cw
     A, B = MatFqm.random(ctx, 4, 6, rng), MatFqm.random(ctx, 6, 3, rng)
     A @ B
     A @ la.MatFq.identity(q, 6)

@@ -63,6 +63,7 @@ _PUBLIC_API = {
     "LinPoly.evaluate": "criterion 9 (skew ring); README, Public API",
     "LinPoly.monomial": "README, Public API (the LinPoly ring)",
     "FieldCtx.power": "README, Public API",
+    "Code.contains": "README, Public API (codeword membership)",
 }
 
 

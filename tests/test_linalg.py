@@ -590,3 +590,118 @@ def test_fq_kernel_at_odd_q_matches_the_list_reference(q):
         want = _ref_kernel(MatFq(q, expanded, 6))
         assert la.fq_kernel(ctx, M.data, 6).data == want
         assert la.expand_fq_system(M).data == expanded
+
+
+# -- the F_{q^m} echelon against the list version it replaced -----------------
+
+
+def _rref_rows_fqm(data, ctx, cols):
+    """In-place RREF of a list of F_{q^m} rows; returns the rank.  The list
+    echelon that linalg._fqm_rref replaced, kept as its reference."""
+    rank = 0
+    for j in range(cols):
+        src = next((i for i in range(rank, len(data)) if data[i][j]), None)
+        if src is None:
+            continue
+        data[rank], data[src] = data[src], data[rank]
+        row = data[rank]
+        if row[j] != 1:
+            data[rank] = row = ctx.mul_row(ctx.inv(row[j]), row)
+        for i in range(len(data)):
+            if i != rank and data[i][j]:
+                ctx.mac_row(data[i], ctx.neg(data[i][j]), row)
+        rank += 1
+        if rank == len(data):
+            break
+    return rank
+
+
+def _ref_fqm_rref(M):
+    """(RREF rows without the zero ones, pivot columns) by the reference."""
+    data = [list(r) for r in M.data]
+    rank = _rref_rows_fqm(data, M.ctx, M.cols)
+    return data[:rank], [next(j for j, a in enumerate(r) if a) for r in data[:rank]]
+
+
+def _ref_fqm_kernel(M):
+    ctx = M.ctx
+    R, pivots = _ref_fqm_rref(M)
+    basis = []
+    for f in (j for j in range(M.cols) if j not in pivots):
+        v = [0] * M.cols
+        v[f] = 1
+        for row, p in zip(R, pivots):
+            v[p] = ctx.neg(row[f])
+        basis.append(v)
+    return basis
+
+
+def _ref_solve_left(A, B):
+    """X with X A = B (free variables zero) or None, as solve_left did it:
+    the reference RREF of [A^T | B^T]."""
+    ctx, k = A.ctx, A.rows
+    aug = [[A.data[i][j] for i in range(k)] + [B.data[i][j] for i in range(B.rows)]
+           for j in range(A.cols)]
+    rank = _rref_rows_fqm(aug, ctx, k + B.rows)
+    Xt = [[0] * B.rows for _ in range(k)]
+    for row in aug[:rank]:
+        p = next(j for j, a in enumerate(row) if a)
+        if p >= k:
+            return None
+        Xt[p] = row[k:]
+    return [[Xt[i][b] for i in range(k)] for b in range(B.rows)]
+
+
+def _fqm_cases(ctx, rng):
+    """Seeded F_{q^m} matrices of every shape the echelon meets."""
+    def rand(r, c):
+        return MatFqm(ctx, [_entries(ctx, rng, c) for _ in range(r)], c)
+
+    low = MatFqm(ctx, _field_product(ctx, rand(7, 2), rand(2, 6)), 6)  # rank at most 2
+    reduced, _ = _ref_fqm_rref(rand(4, 9))
+    return {
+        "0x4": MatFqm(ctx, [], 4),
+        "3x0": MatFqm(ctx, [[], [], []], 0),
+        "1x1": rand(1, 1),
+        "1x1 zero": MatFqm.zeros(ctx, 1, 1),
+        "tall": rand(9, 4),
+        "wide": rand(4, 9),
+        "square": rand(6, 6),
+        "rank-deficient": low,
+        "zero": MatFqm.zeros(ctx, 4, 6),
+        "identity": MatFqm.identity(ctx, 5),
+        "in RREF": MatFqm(ctx, reduced, 9),
+    }
+
+
+# odd q stops at m=40: finding or checking a degree-104 modulus over F_3 or
+# F_5 takes 10-30 s
+@pytest.mark.parametrize(
+    "q, m", [(2, 2), (2, 8), (2, 28), (2, 40), (2, 104), (3, 2), (3, 8), (3, 28), (3, 40),
+             (5, 2), (5, 8), (5, 28), (5, 40)],
+)
+def test_fqm_echelon_matches_the_list_reference(q, m):
+    ctx = field(q, m)
+    rng = make_rng(1000 + 10 * q + m)
+    for name, M in _fqm_cases(ctx, rng).items():
+        R_ref, pivots_ref = _ref_fqm_rref(M)
+        R, rk, pivots = la.rref(M)
+        assert (R.data, rk, pivots) == (R_ref, len(R_ref), pivots_ref), name
+        assert la.canonical(M).data == R_ref, name
+        assert la.rank(M) == len(R_ref), name
+        assert la.right_kernel(M).data == _ref_fqm_kernel(M), name
+        # X M = B for B = X0 M (consistent), a random B and the unit rows
+        # (inconsistent unless M spans them)
+        X0 = MatFqm(ctx, [_entries(ctx, rng, M.rows) for _ in range(2)], M.rows)
+        rhs = [MatFqm(ctx, _field_product(ctx, X0, M), M.cols),
+               MatFqm(ctx, [_entries(ctx, rng, M.cols) for _ in range(3)], M.cols),
+               MatFqm.identity(ctx, M.cols) if M.cols else MatFqm.zeros(ctx, 0, 0)]
+        outcomes = []
+        for B in rhs:
+            want = _ref_solve_left(M, B)
+            got = la.solve_left(M, B)
+            assert (got if got is None else got.data) == want, name
+            outcomes.append(want is None)
+        assert outcomes[0] is False, name
+        if name in ("zero", "rank-deficient", "wide"):
+            assert outcomes[2] is True, name
