@@ -275,8 +275,4 @@ def random_code(ctx: FieldCtx, n: int, k: int, rng) -> Code:
     """Uniform [n, k] code: a random full-rank generator, canonicalized."""
     if not 0 < k <= n:
         raise ValueError("need 0 < k <= n")
-    for _ in range(la._RESAMPLE_CAP):
-        G = MatFqm.random(ctx, k, n, rng)
-        if la.rank(G) == k:
-            return Code(G)
-    raise RuntimeError("failed to sample a full-rank generator")
+    return Code(la._resample(lambda: MatFqm.random(ctx, k, n, rng), lambda G: la.rank(G) == k))

@@ -14,13 +14,21 @@ integer. Irreducibility is verified at construction: gcd(x^{q^d} - x, f)
 must be constant for every proper divisor d of m and x^{q^m} = x mod f.
 This keeps contexts reproducible across machines, including user-supplied
 moduli which get the same verification.
+
+Scalar arithmetic here serves field set-up, one `inv` per echelon pivot,
+the hook rows of twisted Gabidulin generators and the tests' references.
+Matrix work (products, eliminations, and the Frobenius in the q-sums and
+the decoder) runs on the coefficient digit planes of `linalg`. So F_{2^m}
+keeps one scalar multiply (a nibble table and reduction tables) and one
+inverse (extended Euclid), and the row helpers `mul_row`, `mac_row` and
+`frob_row` are plain loops over them, for the few callers off the
+keygen, decrypt and attack paths (`MatFqm.frob` in `codes.closure`,
+`LinPoly.scale`).
 """
 
 from __future__ import annotations
 
 import functools
-
-_LOG_EXP_LIMIT = 1 << 16  # fields up to this order get full log/exp tables
 
 
 # ---------------------------------------------------------------------------
@@ -279,38 +287,6 @@ class _BinaryCtx(FieldCtx):
         self._frob_imgs: dict[int, list[int]] = {
             1: [_b_mod(1 << (2 * j), f) for j in range(m)]
         }
-        self._log: list[int] | None = None
-        self._exp: list[int] | None = None
-        if self.order <= _LOG_EXP_LIMIT:
-            self._build_log_exp()
-
-    # -- tables --------------------------------------------------------------
-    def _build_log_exp(self) -> None:
-        n = self.order - 1
-        if n == 1:
-            self._exp = [1, 1]
-            self._log = [0, 0]
-            return
-        for g in range(2, self.order):
-            exp = [1] * (2 * n)
-            log = [0] * self.order
-            e = 1
-            ok = True
-            for i in range(1, n):
-                e = self._mul_nibble(e, g)
-                if e == 1:  # order of g divides i < n
-                    ok = False
-                    break
-                exp[i] = e
-                log[e] = i
-            if ok:
-                for i in range(n, 2 * n):
-                    exp[i] = exp[i - n]
-                log[1] = 0
-                self._exp = exp
-                self._log = log
-                return
-        raise AssertionError("no primitive element found (modulus not irreducible?)")
 
     def _reduce(self, v: int) -> int:
         lo = v & self._mask
@@ -343,10 +319,6 @@ class _BinaryCtx(FieldCtx):
         return a
 
     def mul(self, a: int, b: int) -> int:
-        if self._log is not None:
-            if a == 0 or b == 0:
-                return 0
-            return self._exp[self._log[a] + self._log[b]]
         if a == 0 or b == 0:
             return 0
         return self._mul_nibble(a, b)
@@ -354,9 +326,6 @@ class _BinaryCtx(FieldCtx):
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        if self._log is not None:
-            n = self.order - 1
-            return self._exp[(n - self._log[a]) % n]
         # extended Euclid on GF(2)[x]: r0 = s0*a mod f throughout
         r0, r1 = self._f, a
         s0, s1 = 0, 1
@@ -396,57 +365,6 @@ class _BinaryCtx(FieldCtx):
     def random(self, rng) -> int:
         nbytes = (self.m + 7) // 8
         return int.from_bytes(rng.bytes(nbytes), "little") & self._mask
-
-    # -- hot-loop helpers ------------------------------------------------------
-    def mul_row(self, a: int, row: list[int]) -> list[int]:
-        out = [0] * len(row)
-        self.mac_row(out, a, row)
-        return out
-
-    def mac_row(self, acc: list[int], a: int, row: list[int]) -> None:
-        if a == 0:
-            return
-        if a == 1:
-            for j, b in enumerate(row):
-                if b:
-                    acc[j] ^= b
-            return
-        log = self._log
-        if log is not None:
-            exp = self._exp
-            la = log[a]
-            for j, b in enumerate(row):
-                if b:
-                    acc[j] ^= exp[la + log[b]]
-            return
-        tab = _nibble_table(a)
-        m = self.m
-        mask = self._mask
-        red = self._red
-        for j, b in enumerate(row):
-            if b:
-                p = 0
-                shift = 0
-                while b:
-                    p ^= tab[b & 15] << shift
-                    b >>= 4
-                    shift += 4
-                lo = p & mask
-                hi = p >> m
-                t = 0
-                while hi:
-                    lo ^= red[t][hi & 15]
-                    hi >>= 4
-                    t += 1
-                acc[j] ^= lo
-
-    def frob_row(self, row: list[int], i: int = 1) -> list[int]:
-        i %= self.m
-        if i == 0:
-            return list(row)
-        imgs = self._frob_images(i)
-        apply = self._apply_frob
-        return [apply(imgs, a) for a in row]
 
 
 class _PrimeCtx(FieldCtx):

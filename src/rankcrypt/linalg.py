@@ -174,7 +174,7 @@ class MatFqm:
         data = [[0] * n for _ in range(n)]
         for i in range(n):
             data[i][i] = 1
-        return cls(ctx, data)
+        return cls(ctx, data, n)
 
     @classmethod
     def random(cls, ctx: FieldCtx, rows: int, cols: int, rng) -> "MatFqm":
@@ -205,26 +205,6 @@ class MatFqm:
         return MatFqm(ctx, [ctx.frob_row(r, i) for r in self.data], self.cols)
 
     # -- arithmetic -------------------------------------------------------
-    def __add__(self, other: "MatFqm") -> "MatFqm":
-        self._check(other, cols=True)
-        if self.rows != other.rows:
-            raise ValueError("shape mismatch")
-        add = self.ctx.add
-        data = [
-            [add(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(self.data, other.data)
-        ]
-        return MatFqm(self.ctx, data, self.cols)
-
-    def __sub__(self, other: "MatFqm") -> "MatFqm":
-        self._check(other, cols=True)
-        if self.rows != other.rows:
-            raise ValueError("shape mismatch")
-        sub = self.ctx.sub
-        data = [
-            [sub(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(self.data, other.data)
-        ]
-        return MatFqm(self.ctx, data, self.cols)
-
     def __matmul__(self, other) -> "MatFqm":
         # MatFq entries are constants of F_{q^m} under the integer encoding,
         # so a mixed product reads other.data directly.  The product runs on
@@ -249,10 +229,6 @@ class MatFqm:
         else:
             planes = _clmul_planes(ctx, digits, _matrix_digits(ctx, other))
         return _from_matrix_digits(ctx, planes.transpose(1, 2, 0))
-
-    def scale(self, a: int) -> "MatFqm":
-        ctx = self.ctx
-        return MatFqm(ctx, [ctx.mul_row(a, r) for r in self.data], self.cols)
 
     def is_zero(self) -> bool:
         return all(not e for r in self.data for e in r)
@@ -301,7 +277,7 @@ class MatFq:
         data = [[0] * n for _ in range(n)]
         for i in range(n):
             data[i][i] = 1
-        return cls(q, data)
+        return cls(q, data, n)
 
     @classmethod
     def random(cls, q: int, rows: int, cols: int, rng) -> "MatFq":
@@ -309,19 +285,10 @@ class MatFq:
         it = iter(int(v) for v in vals)
         return cls(q, [[next(it) for _ in range(cols)] for _ in range(rows)], cols)
 
-    def transpose(self) -> "MatFq":
-        data = [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)]
-        return MatFq(self.q, data, self.rows)
-
     def vstack(self, other: "MatFq") -> "MatFq":
         if self.q != other.q or self.cols != other.cols:
             raise ValueError("shape or field mismatch")
         return MatFq(self.q, self.data + other.data, self.cols)
-
-    def hstack(self, other: "MatFq") -> "MatFq":
-        if self.q != other.q or self.rows != other.rows:
-            raise ValueError("shape or field mismatch")
-        return MatFq(self.q, [a + b for a, b in zip(self.data, other.data)], self.cols + other.cols)
 
     def __add__(self, other: "MatFq") -> "MatFq":
         if self.q != other.q or self.rows != other.rows or self.cols != other.cols:
@@ -949,21 +916,22 @@ def space_intersect(A: MatFqm, B: MatFqm) -> MatFqm:
 _RESAMPLE_CAP = 64  # nonsingularity rejection bound; failure odds ~ q^-64
 
 
+def _resample(draw, accept):
+    """The first draw() that accept() takes, trying at most _RESAMPLE_CAP."""
+    for _ in range(_RESAMPLE_CAP):
+        x = draw()
+        if accept(x):
+            return x
+    raise RuntimeError("rejection sampling failed")
+
+
 def random_gl(q: int, n: int, rng) -> MatFq:
     """Uniform-ish invertible n x n matrix over F_q by rejection."""
-    for _ in range(_RESAMPLE_CAP):
-        M = MatFq.random(q, n, n, rng)
-        if rank(M) == n:
-            return M
-    raise RuntimeError("failed to sample an invertible matrix")
+    return _resample(lambda: MatFq.random(q, n, n, rng), lambda M: rank(M) == n)
 
 
 def random_invertible_matfqm(ctx: FieldCtx, n: int, rng) -> MatFqm:
-    for _ in range(_RESAMPLE_CAP):
-        M = MatFqm.random(ctx, n, n, rng)
-        if rank(M) == n:
-            return M
-    raise RuntimeError("failed to sample an invertible matrix")
+    return _resample(lambda: MatFqm.random(ctx, n, n, rng), lambda M: rank(M) == n)
 
 
 def random_rank_s_matfqm(ctx: FieldCtx, k: int, lam: int, s: int, rng) -> MatFqm:
@@ -973,11 +941,8 @@ def random_rank_s_matfqm(ctx: FieldCtx, k: int, lam: int, s: int, rng) -> MatFqm
         raise ValueError(f"rank {s} impossible for a {k}x{lam} matrix")
 
     def full_rank(rows: int, cols: int) -> MatFqm:
-        for _ in range(_RESAMPLE_CAP):
-            M = MatFqm.random(ctx, rows, cols, rng)
-            if rank(M) == min(rows, cols):
-                return M
-        raise RuntimeError("failed to sample a full-rank factor")
+        full = min(rows, cols)
+        return _resample(lambda: MatFqm.random(ctx, rows, cols, rng), lambda M: rank(M) == full)
 
     return full_rank(k, s) @ full_rank(s, lam)
 
@@ -986,11 +951,7 @@ def random_independent_vec(ctx: FieldCtx, n: int, rng) -> list[int]:
     """Vector in F_{q^m}^n with F_q-linearly independent coordinates."""
     if n > ctx.m:
         raise ValueError("cannot fit more than m independent coordinates")
-    for _ in range(_RESAMPLE_CAP):
-        v = [ctx.random(rng) for _ in range(n)]
-        if rank_fq(ctx, v) == n:
-            return v
-    raise RuntimeError("failed to sample an independent vector")
+    return _resample(lambda: [ctx.random(rng) for _ in range(n)], lambda v: rank_fq(ctx, v) == n)
 
 
 def random_vec_rank(ctx: FieldCtx, n: int, t: int, rng) -> list[int]:
@@ -1001,8 +962,5 @@ def random_vec_rank(ctx: FieldCtx, n: int, t: int, rng) -> list[int]:
     if t == 0:
         return [0] * n
     support = random_independent_vec(ctx, t, rng)
-    for _ in range(_RESAMPLE_CAP):
-        B = MatFq.random(ctx.q, t, n, rng)
-        if rank(B) == t:
-            return vec_mat(ctx, support, B)
-    raise RuntimeError("failed to sample a full-rank combination matrix")
+    B = _resample(lambda: MatFq.random(ctx.q, t, n, rng), lambda M: rank(M) == t)
+    return vec_mat(ctx, support, B)

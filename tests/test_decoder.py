@@ -3,7 +3,7 @@
 import pytest
 
 from rankcrypt import linalg as la
-from rankcrypt.attack import stabilizer
+from rankcrypt.attack import attack_extension, attack_overbeck, stabilizer
 from rankcrypt.codes import Code, gabidulin, prw_parameters, qsum, random_code, twisted_gabidulin
 from rankcrypt.decoder import (
     _error_over_support,
@@ -15,7 +15,7 @@ from rankcrypt.decoder import (
     prepare,
 )
 from rankcrypt.fields import field
-from rankcrypt.gpt import make_plan
+from rankcrypt.gpt import GptParams, decrypt, encrypt, keygen, make_plan
 from rankcrypt.linalg import MatFqm
 from rankcrypt.rng import derive_rng, make_rng
 
@@ -223,17 +223,22 @@ def test_packed_step_two_matches_expanded_system(m):
 
 
 def test_no_field_arithmetic_in_q2_products_and_step_two(monkeypatch):
-    _check_no_field_arithmetic(field(2, 28), make_rng(315), monkeypatch)
+    # the golden low-rank row; Overbeck needs i = 5 there (s (i + 1) >= lambda)
+    params = GptParams(field(2, 28), n=24, k=12, lam=6, s=1)
+    _check_no_field_arithmetic(params, 1, 5, make_rng(315), monkeypatch)
 
 
 def test_no_field_arithmetic_at_odd_q(monkeypatch):
-    _check_no_field_arithmetic(field(3, 12), make_rng(316), monkeypatch)
+    params = GptParams(field(3, 12), n=10, k=4, lam=2, s=1)
+    _check_no_field_arithmetic(params, 2, 1, make_rng(316), monkeypatch)
 
 
-def _check_no_field_arithmetic(ctx, rng, monkeypatch):
-    # products, eliminations, q-sums, the decryption plan, both decoder steps
-    # and the stabilizer of a code in canonical form run on coefficient
-    # digit planes: no mul, mul_row, mac_row or frob_row (ctx.inv is allowed)
+def _check_no_field_arithmetic(params, key_seed, i_overbeck, rng, monkeypatch):
+    # products, eliminations, q-sums, the decryption plan, both decoder steps,
+    # the stabilizer of a code in canonical form, and so a whole Gabidulin
+    # key, encryption, decryption and both attacks, run on coefficient digit
+    # planes: no mul, mul_row, mac_row or frob_row (ctx.inv is allowed)
+    ctx = params.ctx
     q, n, k = ctx.q, 12, 5
     C = random_code(ctx, n, k, rng)
     H = la.right_kernel(C.gen)
@@ -287,6 +292,13 @@ def _check_no_field_arithmetic(ctx, rng, monkeypatch):
     assert _error_over_support(ctx, H, syndrome, kappa, n) == want
     assert _error_over_support(ctx, H, wrong, [1], n) is None
     assert stabilizer(C).basis == want_stab
+    key_rng = derive_rng(9100, key_seed)
+    sk, pk = keygen(params, key_rng)
+    msg = [ctx.random(key_rng) for _ in range(params.k)]
+    c = encrypt(pk, msg, key_rng)
+    assert decrypt(sk, c) == msg
+    for rep in (attack_extension(pk, c), attack_overbeck(pk, c, key_rng, i_overbeck)):
+        assert rep.success and rep.recovered == msg
     assert calls == []
 
 

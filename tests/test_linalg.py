@@ -19,6 +19,15 @@ def test_rref_identity_and_zero():
     assert rank == 0 and pivots == []
 
 
+def test_empty_identity():
+    ctx = field(2, 8)
+    for I, Z in ((MatFqm.identity(ctx, 0), MatFqm.zeros(ctx, 0, 3)),
+                 (MatFq.identity(3, 0), MatFq.zeros(3, 0, 3))):
+        assert (I.rows, I.cols) == (0, 0)
+        P = I @ Z
+        assert (P.rows, P.cols) == (0, 3) and P == Z
+
+
 def test_rref_rank_matches_enumeration(derived):
     M = MatFq(2, [[1, 1, 0], [0, 1, 1], [1, 0, 1]], 3)
     _, rank, _ = la.rref(M)
@@ -552,8 +561,8 @@ def test_fq_echelon_matches_the_list_reference(q):
         assert (R.data, rk, pivots) == (R_ref, len(R_ref), pivots_ref), name
         assert la.rank(M) == len(R_ref), name
         assert la.right_kernel(M).data == _ref_kernel(M), name
-        I = MatFq.zeros(q, 0, 0) if not M.cols else MatFq.identity(q, M.cols)
-        for B in (MatFq.random(q, M.cols, 3, rng), MatFq.zeros(q, M.cols, 0), I):
+        for B in (MatFq.random(q, M.cols, 3, rng), MatFq.zeros(q, M.cols, 0),
+                  MatFq.identity(q, M.cols)):
             assert (M @ B).data == _ref_matmul(M, B), name
         if M.rows == M.cols:
             aug = [r + [int(i == j) for j in range(M.rows)] for i, r in enumerate(M.data)]
@@ -695,7 +704,7 @@ def test_fqm_echelon_matches_the_list_reference(q, m):
         X0 = MatFqm(ctx, [_entries(ctx, rng, M.rows) for _ in range(2)], M.rows)
         rhs = [MatFqm(ctx, _field_product(ctx, X0, M), M.cols),
                MatFqm(ctx, [_entries(ctx, rng, M.cols) for _ in range(3)], M.cols),
-               MatFqm.identity(ctx, M.cols) if M.cols else MatFqm.zeros(ctx, 0, 0)]
+               MatFqm.identity(ctx, M.cols)]
         outcomes = []
         for B in rhs:
             want = _ref_solve_left(M, B)
