@@ -15,26 +15,25 @@ Three layers:
     public code onto a decodable image with the distortion wiped out.
 
 The stabilizer is the kernel of G M H^T = 0 over F_q: k'(N-k')m equations
-in N^2 unknowns after coordinate expansion, for an [N, k'] code.  At odd q
-the full system is built as one linalg._clmul_planes product of the
-entries of G by those of H, with no F_{q^m} arithmetic, and goes straight
-to the numpy F_q echelon (linalg._fq_kernel).  At q=2 most of those rows
-are redundant, so the kernel is first taken of ceil(N^2/m) seeded rank-one
-probes (uG) (x) (vH), m rows each, drawn from a fixed stream; their rows are
-F_2 combinations of the full system's, so that kernel contains the
-stabilizer.  Every candidate in it is then checked exactly against
-G M H^T = 0, through the identity blocks of G and H; a candidate that fails
-names a violated pair (a, b), whose rows g_a (x) h_b are added, which
-removes at least one kernel dimension.  When every candidate passes, the
-kernel is the full system's, and so is its canonical basis.
+in N^2 unknowns after coordinate expansion, for an [N, k'] code.  Most of
+those rows are redundant, so the kernel is first taken of ceil(N^2/m)
+seeded rank-one probes (uG) (x) (vH), m rows each, with u and v drawn from
+a fixed stream; their rows are F_q combinations of the full system's, so
+that kernel contains the stabilizer.  Every candidate in it is then checked
+exactly against G M H^T = 0, through the identity blocks of G and H; a
+candidate that fails names a violated pair (a, b), whose rows g_a (x) h_b
+are added, which removes at least one kernel dimension, and the kernel is
+taken again.  When every candidate passes, the kernel is the full
+system's, and so is its canonical basis.
 
-At q=2 no F_{2^m} arithmetic is done on the way.  The probes, uG and vH
-are held as coefficient bit planes, and every product (the other blocks of
-uG and vH, each probe, each witness g_a (x) h_b and the check) is
+No F_{q^m} arithmetic is done on the way.  The probes, uG and vH are held
+as base-q coefficient digits, and every product (the other blocks of uG
+and vH, each probe, each witness g_a (x) h_b and the check) is
 linalg._clmul_planes: exact float32 BLAS products against a Toeplitz
-layout, then against the table of x^s mod f, read mod 2.  The m bit-rows of
-all probes go to the F_2 echelon in one bulk load (_BitEchelon.load, one
-byte of columns per step), the witness rows one by one.
+layout, then against the table of x^s mod f, read mod q.  Only the kernel
+depends on q (_FqRows): at q=2 the rows are packed into bytes and go to
+the F_2 echelon in one bulk load (_BitEchelon.load, one byte of columns
+per step), at odd q to the numpy F_q echelon (linalg._fq_kernel).
 
 Both attacks end the same way (_decode_and_recover): the map A they found
 (F, or the last n columns of T^-1) makes a decryption plan out of G_pub A,
@@ -56,7 +55,7 @@ from . import linalg as la
 from .codes import Code, qsum
 from .decoder import prepare
 from .gpt import DecryptError, GptPublicKey, make_plan
-from .linalg import MatFq, MatFqm
+from .linalg import MatFq
 from .rng import make_rng
 
 # numpy comes after the package modules: imported first, it would load
@@ -95,7 +94,7 @@ class AttackReport:
 # -- stabilizer computation -------------------------------------------------
 
 
-# The q=2 probes are drawn from this stream, afresh for every stabilizer.
+# The probes are drawn from this stream, afresh for every stabilizer.
 _PROBE_SEED = 0x5AB1
 
 
@@ -104,129 +103,114 @@ def stabilizer(C: Code) -> StabilizerAlgebra:
     of G M H^T = 0, one F_{q^m} constraint g_a (x) h_b per row pair of G and
     H, on the entries of M in row-major order.
 
-    At odd q every pair is solved at once (_full_system, then the F_q
-    echelon): there, checking the candidates of a probed system costs more
-    than the full system.  At q=2 the kernel of ceil(N^2/m) rank-one probes
-    (uG) (x) (vH), u and v dense and drawn from the _PROBE_SEED stream, is
-    checked candidate by candidate against G M H^T = 0, and each violated
-    pair (a, b) adds the rows of g_a (x) h_b until every candidate passes.
-    The products are computed on coefficient digit planes by
-    linalg._clmul_planes, and at q=2 the probes' bit-rows are bulk-loaded
-    into the F_2 echelon.  Both ways the basis is the full system's
-    canonical kernel basis (one vector per free column, in column order);
-    rows_fed counts the F_q rows fed.
+    The kernel of ceil(N^2/m) rank-one probes (uG) (x) (vH), u and v dense
+    and drawn from the _PROBE_SEED stream, is checked candidate by candidate
+    against G M H^T = 0, and each violated pair (a, b) adds the rows of
+    g_a (x) h_b until every candidate passes.  All products are computed on
+    coefficient digit planes by linalg._clmul_planes.  The basis is the full
+    system's canonical kernel basis (one vector per free column, in column
+    order); rows_fed counts the F_q rows fed.
     """
     ctx, N = C.ctx, C.n
     G = C.gen
     H = la.right_kernel(G)
-    if ctx.q == 2:
-        vecs, rows_fed = _kernel_by_probes(ctx, G, H, C.pivots)
-    else:
-        system = _full_system(ctx, G, H)
-        vecs = la._fq_kernel(la._fq_array(ctx.q, system, N * N), ctx.q).tolist()
-        rows_fed = len(system)
-    basis = [MatFq(ctx.q, [vec[u * N : (u + 1) * N] for u in range(N)], N) for vec in vecs]
-    return StabilizerAlgebra(N, basis, rows_fed)
-
-
-def _full_system(ctx, G: MatFqm, H: MatFqm) -> np.ndarray:
-    """The F_q rows of every constraint g_a (x) h_b, in expand_fq_system's
-    order (row (a |H| + b) m + t holds coefficient t of g_a[u] h_b[v] in
-    column u N + v): one linalg._clmul_planes product of the entries of G
-    by those of H."""
-    N, m = G.cols, ctx.m
-    k, h = G.rows, H.rows
-    g = la._matrix_digits(ctx, G).reshape(k * N, 1, m)
-    planes = la._clmul_planes(ctx, g, la._matrix_digits(ctx, H).reshape(1, h * N, m))
-    # planes[t, a N + u, b N + v]
-    return planes.reshape(m, k, N, h, N).transpose(1, 3, 0, 2, 4).reshape(k * h * m, N * N)
-
-
-def _kernel_by_probes(
-    ctx, G: MatFqm, H: MatFqm, pivots: list[int]
-) -> tuple[list[list[int]], int]:
-    """q=2: the kernel vectors of G M H^T = 0 and the number of F_2 rows fed."""
-    N, m = G.cols, ctx.m
     # G is in reduced echelon form and H = right_kernel(G), so G has the
     # identity at its pivot columns and H at the others
+    pivots = C.pivots
     free = sorted(set(range(N)) - set(pivots))
-    ech = la._BitEchelon(N * N)
-    fed = 0
+    Gd, Hd = la._matrix_digits(ctx, G), la._matrix_digits(ctx, H)
+    system = _FqRows(ctx.q, N * N)
     if G.rows and H.rows:
-        probes = _probe_rows(ctx, G, H, pivots, free)
-        ech.load(probes)
-        fed = len(probes)
-    violation = _violation_finder(ctx, G, H, pivots, free)
+        for block in _probe_rows(ctx, Gd, Hd, pivots, free):
+            system.add(block)
+    violation = _violation_finder(ctx, Gd, Hd, pivots, free)
     while True:
-        kernel = ech.kernel_basis()
+        kernel = system.kernel()
         pairs = {pair for v in kernel if (pair := violation(v)) is not None}
         if not pairs:
-            return [[(v >> j) & 1 for j in range(N * N)] for v in kernel], fed
+            break
         for a, b in sorted(pairs):
-            for bits in la._outer_bit_rows(ctx, G.data[a], H.data[b]):
-                ech.add(bits)
-            fed += m
+            system.add(la._clmul_planes(ctx, Gd[a][:, None], Hd[b][None]).reshape(ctx.m, N * N))
+    basis = [MatFq(ctx.q, v.reshape(N, N).tolist(), N) for v in kernel]
+    return StabilizerAlgebra(N, basis, system.rows)
 
 
-def _block_bits(ctx, M: MatFqm, cols: list[int]) -> np.ndarray:
-    """q=2: the coefficient bits of the columns cols of M, (rows, cols, m)."""
-    bits = la._coeff_digits(ctx, [row[j] for row in M.data for j in cols])
-    return bits.reshape(M.rows, len(cols), ctx.m)
+class _FqRows:
+    """F_q rows of one width, added in blocks of coefficient digits, and the
+    kernel of all of them: the one step of the stabilizer that depends on q.
+    At q=2 each block is packed 8 columns to a byte as it is added, and the
+    kernel is taken by the F_2 echelon's bulk load; at odd q by the numpy
+    F_q echelon."""
+
+    def __init__(self, q: int, width: int):
+        self.q, self.width = q, width
+        self.blocks: list[np.ndarray] = []
+        self.rows = 0
+
+    def add(self, block: np.ndarray) -> None:
+        self.rows += len(block)
+        self.blocks.append(np.packbits(block, axis=1, bitorder="little") if self.q == 2 else block)
+
+    def kernel(self) -> np.ndarray:
+        """The kernel basis, one row of F_q digits per free column of the
+        echelon: 1 there and 0 at the other free columns, in column order."""
+        q, width = self.q, self.width
+        if q != 2:
+            A = np.concatenate([np.zeros((0, width), dtype=np.uint8), *self.blocks])
+            return la._fq_kernel(la._fq_array(q, A, width), q)
+        nbytes = -(-width // 8)
+        ech = la._BitEchelon(width)
+        ech.load(np.concatenate([np.zeros((0, nbytes), dtype=np.uint8), *self.blocks]))
+        raw = b"".join(v.to_bytes(nbytes, "little") for v in ech.kernel_basis())
+        packed = np.frombuffer(raw, dtype=np.uint8).reshape(-1, nbytes)
+        return np.unpackbits(packed, axis=1, bitorder="little")[:, :width]
 
 
-def _probe_rows(ctx, G: MatFqm, H: MatFqm, pivots: list[int], free: list[int]) -> np.ndarray:
-    """q=2: the m bit-rows of each of the ceil(N^2/m) probes (uG) (x) (vH),
-    packed 8 columns per byte.  Everything stays in bit planes: uG is u at
-    the pivot columns and u times the other block of G elsewhere, vH is v
-    at the free columns, and both products and the probes themselves go
-    through linalg._clmul_planes."""
-    N, m = G.cols, ctx.m
-    k = G.rows
+def _probe_rows(ctx, Gd: np.ndarray, Hd: np.ndarray, pivots: list[int], free: list[int]):
+    """The m F_q rows of each of the ceil(N^2/m) probes (uG) (x) (vH), one
+    (m, N^2) block per probe, from the coefficient digits Gd and Hd of G
+    and H.  Everything stays in digit planes: uG is u at the pivot columns
+    and u times the other block of G elsewhere, vH is v at the free
+    columns, and both products and the probes themselves go through
+    linalg._clmul_planes."""
+    q, m = ctx.q, ctx.m
+    k, N = Gd.shape[:2]
     count = -(-N * N // m)
-    # u then v, probe by probe, as ctx.random would draw them: rng.bytes
-    # takes whole 32-bit words, so each element reads its own words
-    words = -(-m // 32)
-    raw = make_rng(_PROBE_SEED).bytes(count * N * 4 * words)
-    draws = np.frombuffer(raw, dtype=np.uint8).reshape(count, N, 4 * words)
-    UV = np.unpackbits(draws, axis=2, bitorder="little")[:, :, :m]
-    X = np.empty((count, N, m), dtype=np.uint8)  # uG
+    UV = make_rng(_PROBE_SEED).integers(0, q, (count, N, m), dtype=la._digit_dtype(q))
+    X = np.empty_like(UV)  # uG
     X[:, pivots] = UV[:, :k]
-    X[:, free] = la._clmul_planes(ctx, UV[:, :k], _block_bits(ctx, G, free)).transpose(1, 2, 0)
-    Y = np.empty((count, N, m), dtype=np.uint8)  # vH
+    X[:, free] = la._clmul_planes(ctx, UV[:, :k], Gd[:, free]).transpose(1, 2, 0)
+    Y = np.empty_like(UV)  # vH
     Y[:, free] = UV[:, k:]
-    Y[:, pivots] = la._clmul_planes(ctx, UV[:, k:], _block_bits(ctx, H, pivots)).transpose(1, 2, 0)
-    rows = np.empty((count * m, -(-N * N // 8)), dtype=np.uint8)
+    Y[:, pivots] = la._clmul_planes(ctx, UV[:, k:], Hd[:, pivots]).transpose(1, 2, 0)
     for p in range(count):
-        planes = la._clmul_planes(ctx, X[p][:, None], Y[p][None])
-        rows[p * m : (p + 1) * m] = np.packbits(planes.reshape(m, N * N), axis=1, bitorder="little")
-    return rows
+        yield la._clmul_planes(ctx, X[p][:, None], Y[p][None]).reshape(m, N * N)
 
 
-def _violation_finder(ctx, G: MatFqm, H: MatFqm, pivots: list[int], free: list[int]):
-    """q=2: a function taking M over F_2, packed as bit u N + v = M[u][v],
-    to the first pair (a, b) with g_a M h_b^T != 0, or to None.
+def _violation_finder(ctx, Gd: np.ndarray, Hd: np.ndarray, pivots: list[int], free: list[int]):
+    """A function taking M over F_q, as its N^2 entries in row-major order,
+    to the first pair (a, b) with g_a M h_b^T != 0, or to None; Gd and Hd
+    are the coefficient digits of G and H.
 
     With L the one of G and H with fewer columns outside its identity block
     and R the other, L M' R^T (M' = M or M^T) is Y at the identity columns
-    plus the rest of L times Y, where Y = M' R^T is a sum of columns of R
-    (a float32 product of M' with the bits of R^T, read mod 2), and the rest
-    of L times Y is one linalg._clmul_planes product: about
-    k'(N-k') min(k', N-k') products for a [N, k'] code.
+    plus the rest of L times Y, where Y = M' R^T is F_q combinations of
+    columns of R (linalg._fq_matmul), and the rest of L times Y is one
+    linalg._clmul_planes product: about k'(N-k') min(k', N-k') products
+    for a [N, k'] code.
     """
-    N, m = G.cols, ctx.m
-    direct = H.rows <= G.rows  # L = G, else L = H and M' = M^T
-    L, R, ident, rest = (G, H, pivots, free) if direct else (H, G, free, pivots)
-    width = R.rows
-    Rt = la._matrix_digits(ctx, R).transpose(1, 0, 2).reshape(N, width * m)
-    Rt = Rt.astype(np.float32)
-    Lrest = _block_bits(ctx, L, rest)
+    q, m = ctx.q, ctx.m
+    N = Gd.shape[1]
+    direct = len(Hd) <= len(Gd)  # L = G, else L = H and M' = M^T
+    L, R, ident, rest = (Gd, Hd, pivots, free) if direct else (Hd, Gd, free, pivots)
+    width = len(R)
+    Rt = R.transpose(1, 0, 2).reshape(N, width * m)
+    Lrest = L[:, rest]
 
-    def violation(v: int):
-        packed = np.frombuffer(v.to_bytes(-(-N * N // 8), "little"), dtype=np.uint8)
-        M = np.unpackbits(packed, bitorder="little")[: N * N].reshape(N, N).astype(np.float32)
-        Y = la._mod_q((M if direct else M.T) @ Rt, 2)  # sums of at most N bits
-        Y = Y.astype(np.uint8).reshape(N, width, m)
-        acc = Y[ident] ^ la._clmul_planes(ctx, Lrest, Y[rest]).transpose(1, 2, 0)
+    def violation(v: np.ndarray):
+        M = v.reshape(N, N)
+        Y = la._fq_matmul(M if direct else M.T, Rt, q).reshape(N, width, m)
+        acc = (Y[ident] + la._clmul_planes(ctx, Lrest, Y[rest]).transpose(1, 2, 0)) % q
         hits = np.flatnonzero(acc.any(axis=2))
         if not hits.size:
             return None

@@ -676,13 +676,6 @@ def _pack_rows(bits: np.ndarray) -> list[int]:
     ]
 
 
-def _outer_bit_rows(ctx: FieldCtx, x: list[int], y: list[int]) -> list[int]:
-    """q=2: _bit_rows of x (x) y (entry u len(y) + v is x_u y_v), computed
-    by _clmul_planes."""
-    planes = _clmul_planes(ctx, _coeff_digits(ctx, x)[:, None], _coeff_digits(ctx, y)[None])
-    return _pack_rows(planes.reshape(ctx.m, len(x) * len(y)))
-
-
 # Byte bound on the Toeplitz block, and on the block of sums, of one
 # _clmul_planes step (at least one entry's m x (2m-1) block, and one row of
 # sums).  Larger blocks mean fewer BLAS calls but a higher peak RSS.

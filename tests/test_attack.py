@@ -279,13 +279,13 @@ def test_overbeck_rejects_length_mismatch():
         attack_extension(pk, c + [0])
 
 
-# -- the q=2 probe stabilizer against the full system ------------------------
+# -- the probe stabilizer against the full system ------------------------------
 
 
 def _full_system_basis(C):
     """Stabilizer basis from every constraint g_a (x) h_b, built with the
-    field's mul_row and fed to fq_kernel: the reference the q=2 probes and
-    exact checks, and the odd-q digit-plane system, must reproduce."""
+    field's mul_row and fed to fq_kernel: the reference the probes and exact
+    checks must reproduce at every q."""
     ctx, N = C.ctx, C.n
     H = la.right_kernel(C.gen)
     rows = (
@@ -296,7 +296,7 @@ def _full_system_basis(C):
 
 
 def _probe_rows(C):
-    # ceil(N^2 / m) probes of m bit-rows each
+    # ceil(N^2 / m) probes of m F_q rows each
     return -(-C.n * C.n // C.ctx.m) * C.ctx.m
 
 
@@ -312,6 +312,14 @@ def _twisted_qsum_m104():
     return qsum(Code(pk.G_pub), 1)
 
 
+def _oddq_m12_qsum():
+    # the first seed-0 key of the oddq-m12 benchmark row: Lambda_1 is a
+    # [12, 7] code
+    params = GptParams(field(3, 12), n=10, k=4, lam=2, s=1)
+    _, pk = keygen(params, derive_rng(0, 0))
+    return qsum(Code(pk.G_pub), 1)
+
+
 _PROBE_CASES = {
     "m3": lambda: random_code(field(2, 3), 6, 2, make_rng(508)),
     "m4": lambda: random_code(field(2, 4), 8, 5, make_rng(509)),
@@ -320,11 +328,19 @@ _PROBE_CASES = {
     "full-space": lambda: Code(MatFqm.identity(field(2, 8), 4)),
     "m28-low-rank": lambda: qsum(Code(_low_rank_instance(2)[3].G_pub), 1),
     "m104-twisted": _twisted_qsum_m104,
+    "q3-m8": lambda: random_code(field(3, 8), 8, 3, make_rng(511)),
+    "q3-block-diagonal": lambda: _block_diagonal_code(field(3, 6), make_rng(505)),
+    "q3-full-space": lambda: Code(MatFqm.identity(field(3, 4), 4)),
+    "oddq-m12": _oddq_m12_qsum,
 }
 
 
 # rows of the full system, and a bound on the rows the probes feed
-_FULL_AND_PROBE_ROWS = {"m28-low-rank": (6300, 1000), "m104-twisted": (18200, 1100)}
+_FULL_AND_PROBE_ROWS = {
+    "m28-low-rank": (6300, 1000),
+    "m104-twisted": (18200, 1100),
+    "oddq-m12": (420, 144),
+}
 
 
 @pytest.mark.parametrize("case", list(_PROBE_CASES))
@@ -338,19 +354,23 @@ def test_probe_stabilizer_matches_full_system(case):
     else:
         assert alg.rows_fed >= _probe_rows(C)
     if case in _FULL_AND_PROBE_ROWS:
-        # 33 probes for 225 pairs at m=28, 10 for 175 pairs at m=104
+        # 33 probes for 225 pairs at m=28, 10 for 175 pairs at m=104, 12
+        # for 35 pairs at q=3, m=12
         full, bound = _FULL_AND_PROBE_ROWS[case]
         assert C.k * H_rows * C.ctx.m == full
         assert alg.rows_fed <= bound
 
 
-@pytest.mark.parametrize("k, seed", [(5, 0), (9, 3)])
-def test_probe_stabilizer_witness_rows(k, seed):
+@pytest.mark.parametrize(
+    "q, m, n, k, seed", [(2, 16, 12, 5, 2), (2, 16, 12, 9, 5), (3, 8, 8, 3, 3), (3, 12, 12, 6, 15)]
+)
+def test_probe_stabilizer_witness_rows(q, m, n, k, seed):
     # the probes leave extra kernel candidates here, so the exact check
     # fails and the violated pairs' rows are fed until the basis is exact;
-    # k=5 checks through H (fewer rows than G), k=9 through G
-    ctx = field(2, 16)
-    C = random_code(ctx, 12, k, make_rng(seed))
+    # k=5 at q=2 and k=3 at q=3 check through H (fewer columns outside its
+    # identity block than G), the other two through G
+    ctx = field(q, m)
+    C = random_code(ctx, n, k, make_rng(seed))
     alg = stabilizer(C)
     assert alg.rows_fed > _probe_rows(C)
     assert (alg.rows_fed - _probe_rows(C)) % ctx.m == 0
@@ -366,13 +386,31 @@ def test_stabilizer_at_odd_q_matches_field_products(q, m, n, k):
     assert alg.basis == _full_system_basis(block) and alg.dim >= 2
 
 
-def test_stabilizer_rows_fed_at_odd_q_is_the_full_system():
-    ctx = field(3, 8)
-    C = random_code(ctx, 8, 3, make_rng(511))
-    assert stabilizer(C).rows_fed == 3 * 5 * 8
-
-
 # -- odd q end to end -------------------------------------------------------------
+
+
+def test_odd_q_end_to_end_at_a_realistic_width():
+    # (q, m, n, k, lambda, s) = (3, 40, 24, 12, 6, 1), N = 30: the probed
+    # stabilizer feeds 920 F_3 rows where the full system has 9000.  The
+    # distortion hides from Overbeck at i=1 (s (i + 1) < lambda), and the
+    # extension attack splits Lambda_1.  The three keys took 1.4 s on a
+    # 2-core machine (7.0 s when the full system was solved); the bound is
+    # about three times that, so a return to the full system fails it.
+    t0 = time.perf_counter()
+    params = GptParams(field(3, 40), n=24, k=12, lam=6, s=1)
+    ctx = params.ctx
+    for i in (1, 2, 3):
+        rng = derive_rng(99, i)
+        sk, pk = keygen(params, rng)
+        msg = [ctx.random(rng) for _ in range(params.k)]
+        c = encrypt(pk, msg, rng)
+        assert decrypt(sk, c) == msg
+        ext = attack_extension(pk, c, i_max=1)
+        assert ext.success and ext.recovered == msg
+        assert (ext.i_used, ext.stab_dim) == (1, 2)
+        ovb = attack_overbeck(pk, c, rng)
+        assert not ovb.success and ovb.failure.startswith("distortion_not_eliminated")
+    assert time.perf_counter() - t0 < 4.5
 
 
 def test_odd_q_end_to_end_at_q5():

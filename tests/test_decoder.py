@@ -230,15 +230,23 @@ def test_no_field_arithmetic_in_q2_products_and_step_two(monkeypatch):
 
 def test_no_field_arithmetic_at_odd_q(monkeypatch):
     params = GptParams(field(3, 12), n=10, k=4, lam=2, s=1)
-    _check_no_field_arithmetic(params, 2, 1, make_rng(316), monkeypatch)
+    # the probes of this code leave extra kernel candidates, so its
+    # stabilizer adds witness rows too
+    witness = random_code(params.ctx, 12, 6, make_rng(15))
+    _check_no_field_arithmetic(params, 2, 1, make_rng(316), monkeypatch, witness)
 
 
-def _check_no_field_arithmetic(params, key_seed, i_overbeck, rng, monkeypatch):
+def _check_no_field_arithmetic(params, key_seed, i_overbeck, rng, monkeypatch, witness=None):
     # products, eliminations, q-sums, the decryption plan, both decoder steps,
-    # the stabilizer of a code in canonical form, and so a whole Gabidulin
-    # key, encryption, decryption and both attacks, run on coefficient digit
+    # the stabilizer of a code in canonical form (with its witness rounds,
+    # when a witness code is given), and so a whole Gabidulin key,
+    # encryption, decryption and both attacks, run on coefficient digit
     # planes: no mul, mul_row, mac_row or frob_row (ctx.inv is allowed)
     ctx = params.ctx
+    if witness is not None:
+        want_witness = stabilizer(witness)
+        probe_rows = -(-witness.n * witness.n // ctx.m) * ctx.m
+        assert want_witness.rows_fed > probe_rows
     q, n, k = ctx.q, 12, 5
     C = random_code(ctx, n, k, rng)
     H = la.right_kernel(C.gen)
@@ -292,6 +300,9 @@ def _check_no_field_arithmetic(params, key_seed, i_overbeck, rng, monkeypatch):
     assert _error_over_support(ctx, H, syndrome, kappa, n) == want
     assert _error_over_support(ctx, H, wrong, [1], n) is None
     assert stabilizer(C).basis == want_stab
+    if witness is not None:
+        got = stabilizer(witness)
+        assert (got.basis, got.rows_fed) == (want_witness.basis, want_witness.rows_fed)
     key_rng = derive_rng(9100, key_seed)
     sk, pk = keygen(params, key_rng)
     msg = [ctx.random(key_rng) for _ in range(params.k)]

@@ -257,20 +257,6 @@ def _entries(ctx, rng, count):
     ]
 
 
-@pytest.mark.parametrize("m", [2, 3, 8, 9, 16, 28, 40, 104, 192])
-def test_outer_bit_rows_match_field_products(m):
-    ctx = field(2, m)
-    rng = make_rng(600 + m)
-    for M, N in ((1, 1), (1, 6), (6, 1), (5, 7), (7, 5)):
-        x, y = _entries(ctx, rng, M), _entries(ctx, rng, N)
-        expected = la._bit_rows(ctx, [ctx.mul(a, b) for a in x for b in y])
-        assert la._outer_bit_rows(ctx, x, y) == expected, (M, N)
-    top = (1 << m) - 1  # every coefficient 1: the largest sums of the kernel
-    assert la._outer_bit_rows(ctx, [top] * 3, [top] * 4) == la._bit_rows(
-        ctx, [ctx.mul(top, top)] * 12
-    )
-
-
 @pytest.mark.parametrize("block_bytes", [1, 1 << 17, 1 << 30])
 @pytest.mark.parametrize("m", [3, 28, 104])
 def test_clmul_planes_is_the_matrix_product(m, block_bytes, monkeypatch):
