@@ -38,7 +38,9 @@ per step), at odd q to the numpy F_q echelon (linalg._fq_kernel).
 Both attacks end the same way (_decode_and_recover): the map A they found
 (F, or the last n columns of T^-1) makes a decryption plan out of G_pub A,
 as the key holder's plan is made out of S G_sec (gpt.make_plan), and the
-plan decodes c A and reads the message off.
+plan decodes c A and reads the message off.  One elimination of
+[G_pub A | I_k] (codes.code_and_transform) gives the plan its code and its
+readout.
 
 Nothing here reads secret keys.  Success is verified publicly: the
 recovered message must re-encode to within rank t of the ciphertext.
@@ -52,7 +54,7 @@ import time
 from dataclasses import dataclass, field
 
 from . import linalg as la
-from .codes import Code, qsum
+from .codes import Code, code_and_transform, qsum
 from .decoder import prepare
 from .gpt import DecryptError, GptPublicKey, make_plan
 from .linalg import MatFq
@@ -319,11 +321,11 @@ def _decode_and_recover(pk: GptPublicKey, c: list[int], A: MatFq, tm: dict):
     ctx, k, t = pk.params.ctx, pk.params.k, pk.params.t
     with _phase(tm, "decode"):
         G = pk.G_pub @ A
-        C = Code(G)
+        C, readout = code_and_transform(G)
         if C.k < k:
             return None, "projected_generator_rank_deficient"
         try:
-            msg = make_plan(A, G, prepare(C, t)).decrypt(c)
+            msg = make_plan(A, G, prepare(C, t), readout).decrypt(c)
         except DecryptError as ex:
             return None, "decode_" + ex.status
     with _phase(tm, "recover"):

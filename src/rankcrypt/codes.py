@@ -12,6 +12,9 @@ ones, and by k for random codes until saturation.
 
 _qsum_echelon is the one Frobenius loop that builds the q-sums; qsum,
 dim_profile and decoder.max_radius all read it.
+
+code_and_transform builds a code and the matrix that reads messages off
+its codewords from one elimination; every decryption plan starts there.
 """
 
 from __future__ import annotations
@@ -32,6 +35,14 @@ class Code:
 
     def __init__(self, gen: MatFqm):
         self.gen = la.canonical(gen)
+
+    @classmethod
+    def _from_echelon(cls, gen: MatFqm) -> "Code":
+        """The code of gen, which is already in trimmed reduced row echelon
+        form: no elimination."""
+        C = cls.__new__(cls)
+        C.gen = gen
+        return C
 
     @property
     def ctx(self) -> FieldCtx:
@@ -62,6 +73,29 @@ class Code:
 
     def __repr__(self) -> str:
         return f"Code[n={self.n}, k={self.k}, q^m={self.ctx.q}^{self.ctx.m}]"
+
+
+def code_and_transform(G: MatFqm) -> tuple[Code, MatFqm]:
+    """Code(G) and the k x k transform T of G's elimination, both from one
+    reduced row echelon form of [G | I_k] (linalg.rref).
+
+    That form is T [G | I_k] with T invertible.  A row whose pivot lies
+    below n is, on the first n columns, a row of T G = Code(G).gen; a row
+    whose pivot lies in the identity block is zero there.  When G has full
+    row rank k every pivot lies below n, so T G[:, pivots] = I: T is
+    G[:, Code(G).pivots]^-1, and m = cw[pivots] T reads the message off a
+    codeword cw = m G."""
+    ctx, k, n = G.ctx, G.rows, G.cols
+    R, _, pivots = la.rref(G.hstack(MatFqm.identity(ctx, k)))
+    r = sum(p < n for p in pivots)
+    C = Code._from_echelon(MatFqm(ctx, [row[:n] for row in R.data[:r]], n))
+    return C, MatFqm(ctx, [row[n:] for row in R.data], k)
+
+
+def _echelon_code(ctx: FieldCtx, E) -> Code:
+    """The code whose reduced echelon form has the coefficient digits E, as
+    _qsum_echelon yields them."""
+    return Code._from_echelon(la._from_matrix_digits(ctx, E))
 
 
 class TwistParams:
@@ -149,6 +183,9 @@ def sample_hooks(k: int, ell: int, rng) -> list[int]:
         return []
     if k <= 2 * ell + 2:
         raise ValueError("k too small for gap-respecting hooks")
+    # its own cap, not linalg._resample's 64 tries: at k=13, ell=5 a draw is
+    # accepted with probability 21 * 120 / 11^5, about 1.6%, so 64 tries
+    # would fail about 37% of valid calls
     for _ in range(10000):
         hs = sorted(int(v) for v in rng.integers(1, k - 1, size=ell))
         if len(set(hs)) == ell and all(b - a > 1 for a, b in zip(hs, hs[1:])):
@@ -230,7 +267,7 @@ def qsum(C: Code, i: int) -> Code:
         raise ValueError("i must be >= 0")
     for E in itertools.islice(_qsum_echelon(C), i + 1):
         pass
-    return Code(la._from_matrix_digits(C.ctx, E))
+    return _echelon_code(C.ctx, E)
 
 
 def dim_profile(C: Code, i_max: int) -> list[int]:

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg as la
-from .codes import Code, _qsum_echelon, qsum
+from .codes import Code, _echelon_code, _qsum_echelon, qsum
 from .fields import FieldCtx
 from .linalg import MatFq, MatFqm
 from .qpoly import LinPoly
@@ -57,16 +57,25 @@ class DecodeResult:
         return self.status == "decoded"
 
 
-def max_radius(C: Code) -> int:
+def max_radius(
+    C: Code, return_qsum: bool = False, t: int | None = None
+) -> int | tuple[int, Code | None]:
     """Largest t with dim Lambda_t(C) + t <= n, measured directly.
 
-    For an [n, k] Gabidulin code this is floor((n-k)/2)."""
-    best = 0
-    for t, E in enumerate(_qsum_echelon(C)):
-        if len(E) + t > C.n:  # by t = n+1 at the latest: a zero code never saturates
+    For an [n, k] Gabidulin code this is floor((n-k)/2).  The walk passes
+    every Lambda_t(C) up to the radius; with return_qsum the result is
+    (radius, L), L the q-sum Lambda_t(C) as a Code at the given t, or at the
+    radius when t is None, and None when t exceeds the radius."""
+    best, kept = 0, None
+    for i, E in enumerate(_qsum_echelon(C)):
+        if len(E) + i > C.n:  # by i = n+1 at the latest: a zero code never saturates
             break
-        best = t
-    return best
+        best = i
+        if return_qsum and (t is None or i == t):
+            kept = E.copy()  # the walk's next step writes to E
+    if not return_qsum:
+        return best
+    return best, None if kept is None else _echelon_code(C.ctx, kept)
 
 
 @dataclass(frozen=True)
@@ -101,11 +110,13 @@ class PreparedCode:
         return DecodeResult("no_error_solution")
 
 
-def prepare(C: Code, t: int) -> PreparedCode:
-    """The parity checks decode() needs for C at radius t."""
+def prepare(C: Code, t: int, Lt: Code | None = None) -> PreparedCode:
+    """The parity checks decode() needs for C at radius t; Lt, when given,
+    is Lambda_t(C) (as max_radius returns it), which is then not built
+    again."""
     if t < 1:
         raise ValueError("radius must be >= 1")
-    Ht = la.right_kernel(qsum(C, t).gen)
+    Ht = la.right_kernel((qsum(C, t) if Lt is None else Lt).gen)
     return PreparedCode(C, t, la.right_kernel(C.gen), Ht)
 
 

@@ -14,18 +14,25 @@ makes c A decodable: decode c A in the code of a full-rank generator G
 (for the key holder S G_sec, for an attacker G_pub A), then read the
 message off the codeword.  A DecryptPlan (make_plan) holds A, G, the code
 of G prepared for decoding at radius t (its parity checks H and H_t, see
-decoder.prepare), and the matrix that reads the message off k columns of a
-codeword; DecryptPlan.decrypt does the job, and both attacks call it too.
+decoder.prepare), and the readout G[:, pivots]^-1 that reads the message
+off the k pivot columns of a codeword; DecryptPlan.decrypt does the job,
+and both attacks call it too.  The code and the readout come from one
+elimination of [G | I_k] (codes.code_and_transform).
 
 The secret key's plan (GptSecretKey.plan) takes for A the last n columns
-of P^-1 and for G S G_sec.  It is built on the first decrypt and reused by
-every later one; it is not part of the key's fields, so it is never
-serialized, and a key read back from JSON builds the same plan on its own
-first decrypt.  The key reader checks t with the prepared code
-(GptSecretKey.code), which the plan then reuses.  At q=2 the matrix and
-vector products of keygen, encrypt and decrypt (S (X | G_sec) P, S G_sec,
-m G_pub, c A, the readout) and the decoder's systems run on coefficient
-bit planes (see linalg), with results identical to field arithmetic.
+of P^-1 and for G S G_sec.  keygen already eliminates [S G_sec | I_k] (it
+accepts S when that has rank k) and walks the q-sums to Lambda_t for the
+radius (decoder.max_radius), so it hands G, its code, the readout and
+Lambda_t to the key (GptSecretKey.handover).  The first decrypt then only
+adds P^-1 and the parity checks H and H_t, and every later one reuses the
+plan.  Neither the hand-over nor the plan is compared or serialized: a key
+read back from JSON builds the same from one elimination and
+decoder.prepare on first use.  The key reader checks t with the prepared
+code (GptSecretKey.code), which the plan then reuses.  At q=2 the matrix
+and vector products of keygen, encrypt and decrypt (S X, S G_sec,
+(S X | S G_sec) P, m G_pub, c A, the readout) and the decoder's systems
+run on coefficient bit planes (see linalg), with results identical to
+field arithmetic.
 
 The error radius t defaults to the measured decoding radius of the sampled
 secret code: floor((n-k)/2) for Gabidulin, and whatever the q-sum dimension
@@ -35,10 +42,17 @@ condition yields for twisted codes.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from . import linalg as la
-from .codes import Code, TwistParams, moore_matrix, prw_parameters, twisted_moore_matrix
+from .codes import (
+    Code,
+    TwistParams,
+    code_and_transform,
+    moore_matrix,
+    prw_parameters,
+    twisted_moore_matrix,
+)
 from .decoder import PreparedCode, max_radius, prepare
 from .fields import FieldCtx
 from .linalg import MatFq, MatFqm
@@ -105,16 +119,12 @@ class DecryptPlan:
         return msg
 
 
-def make_plan(A: MatFq, G: MatFqm, code: PreparedCode) -> DecryptPlan:
+def make_plan(A: MatFq, G: MatFqm, code: PreparedCode, readout: MatFqm) -> DecryptPlan:
     """The plan that decodes c A with code, the code of G prepared by
-    decoder.prepare, and reads the message off through G, which must have
-    full row rank."""
-    ctx, k = G.ctx, G.rows
-    # G restricted to the pivot columns of its code's echelon form is invertible
-    cols = code.C.pivots
-    block = MatFqm(ctx, [[row[j] for j in cols] for row in G.data], k)
-    readout = la.solve_left(block, MatFqm.identity(ctx, k))
-    return DecryptPlan(A, code, G, cols, readout)
+    decoder.prepare, and reads the message off through readout, the inverse
+    G[:, code.C.pivots]^-1; G must have full row rank.  The code and the
+    readout both come from one elimination, codes.code_and_transform(G)."""
+    return DecryptPlan(A, code, G, code.C.pivots, readout)
 
 
 def _secret_generator(ctx: FieldCtx, g: list[int], k: int, tw: TwistParams | None) -> MatFqm:
@@ -125,6 +135,18 @@ def _secret_generator(ctx: FieldCtx, g: list[int], k: int, tw: TwistParams | Non
 
 
 @dataclass(frozen=True)
+class _SecretCode:
+    """What the key's plan is built from: G = S G_sec, its code C and the
+    readout T = G[:, C.pivots]^-1 (codes.code_and_transform), and
+    Lambda_t(C) when it is known."""
+
+    G: MatFqm
+    C: Code
+    T: MatFqm
+    Lt: Code | None = None
+
+
+@dataclass(frozen=True)
 class GptSecretKey:
     params: GptParams
     g: list[int]
@@ -132,19 +154,32 @@ class GptSecretKey:
     S: MatFqm
     X: MatFqm
     P: MatFq
+    # keygen hands over what it computed on the way; a key read back from
+    # JSON has None here and builds the same on first use
+    handover: _SecretCode | None = field(default=None, compare=False, repr=False)
 
     @functools.cached_property
     def G_sec(self) -> MatFqm:
         return _secret_generator(self.params.ctx, self.g, self.params.k, self.tw)
 
     @functools.cached_property
+    def _secret(self) -> _SecretCode:
+        """keygen's hand-over, or for a key read back from JSON the same
+        from one elimination of [S G_sec | I_k]."""
+        if self.handover is not None:
+            return self.handover
+        G = self.S @ self.G_sec
+        C, T = code_and_transform(G)
+        if C.k != self.params.k:
+            raise ValueError(f"S G_sec has rank {C.k}, expected {self.params.k}")
+        return _SecretCode(G, C, T)
+
+    @functools.cached_property
     def code(self) -> PreparedCode:
         """The secret code prepared for decoding at radius t, built on first
         use; the plan decodes with it, and the key reader checks t with it."""
-        C = Code(self.G_sec)
-        if C.k != self.params.k:
-            raise ValueError(f"secret generator has rank {C.k}, expected {self.params.k}")
-        return prepare(C, self.params.t)
+        sc = self._secret
+        return prepare(sc.C, self.params.t, sc.Lt)
 
     @functools.cached_property
     def plan(self) -> DecryptPlan:
@@ -154,7 +189,7 @@ class GptSecretKey:
         lam, n = self.params.lam, self.params.n
         P_inv = self.P.inverse()
         A = MatFq(P_inv.q, [row[lam:] for row in P_inv.data], n)
-        return make_plan(A, self.S @ self.G_sec, self.code)
+        return make_plan(A, self._secret.G, self.code, self._secret.T)
 
 
 @dataclass
@@ -169,7 +204,14 @@ def keygen(
     """Sample a key pair.
 
     An explicit tw overrides the evenly-spaced twist sampler, for twisted
-    shapes where (n-k-ell)/(ell+1) is not an integer."""
+    shapes where (n-k-ell)/(ell+1) is not an integer.
+
+    S is drawn until [S G_sec | I_k] has rank k: G_sec has rank k (the
+    Moore matrix refuses a dependent g, and a hook row only adds a multiple
+    of a higher Frobenius power of g), so this is rank(S) = k, with the same
+    draws.  That one elimination also gives the secret code and the plan's
+    readout (codes.code_and_transform), and max_radius's walk gives
+    Lambda_t; the key keeps them for its first decrypt."""
     params.validate()
     ctx, n, k = params.ctx, params.n, params.k
     g = la.random_independent_vec(ctx, n, rng)
@@ -183,11 +225,17 @@ def keygen(
                 raise ValueError("twist count does not match params.ell")
             tw.validate(n, k)
     G_sec = _secret_generator(ctx, g, k, tw)
-    S = la.random_invertible_matfqm(ctx, k, rng)
+
+    def draw():
+        S = MatFqm.random(ctx, k, k, rng)
+        SG = S @ G_sec
+        return (S, SG, *code_and_transform(SG))
+
+    S, SG, C, T = la._resample(draw, lambda d: d[2].k == k)
     X = la.random_rank_s_matfqm(ctx, k, params.lam, params.s, rng)
     P = la.random_gl(ctx.q, n + params.lam, rng)
 
-    radius = max_radius(Code(G_sec))
+    radius, Lt = max_radius(C, return_qsum=True, t=params.t)
     if params.t is None:
         if radius < 1:
             raise ValueError("sampled secret code has decoding radius 0")
@@ -195,8 +243,9 @@ def keygen(
     elif params.t > radius:
         raise ValueError(f"requested t={params.t} exceeds decoding radius {radius}")
 
-    G_pub = (S @ X.hstack(G_sec)) @ P
-    return GptSecretKey(params, g, tw, S, X, P), GptPublicKey(params, G_pub)
+    G_pub = (S @ X).hstack(SG) @ P
+    sk = GptSecretKey(params, g, tw, S, X, P, _SecretCode(SG, C, T, Lt))
+    return sk, GptPublicKey(params, G_pub)
 
 
 def encrypt(pk: GptPublicKey, msg: list[int], rng) -> list[int]:

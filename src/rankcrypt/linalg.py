@@ -923,10 +923,6 @@ def random_gl(q: int, n: int, rng) -> MatFq:
     return _resample(lambda: MatFq.random(q, n, n, rng), lambda M: rank(M) == n)
 
 
-def random_invertible_matfqm(ctx: FieldCtx, n: int, rng) -> MatFqm:
-    return _resample(lambda: MatFqm.random(ctx, n, n, rng), lambda M: rank(M) == n)
-
-
 def random_rank_s_matfqm(ctx: FieldCtx, k: int, lam: int, s: int, rng) -> MatFqm:
     """k x lam matrix over F_{q^m} of rank exactly s, as a product A B of
     full-rank k x s and s x lam factors."""

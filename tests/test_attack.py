@@ -14,7 +14,7 @@ from rankcrypt.attack import (
     find_rank_n_idempotent,
     stabilizer,
 )
-from rankcrypt.codes import Code, gabidulin, qsum, random_code
+from rankcrypt.codes import Code, code_and_transform, gabidulin, qsum, random_code
 from rankcrypt.decoder import prepare
 from rankcrypt.fields import field
 from rankcrypt.gpt import GptParams, decrypt, encrypt, keygen, make_plan
@@ -203,7 +203,8 @@ def test_extension_idempotent_makes_a_reusable_plan(q, m, n, k, lam):
     rep = attack_extension(pk, encrypt(pk, msg, rng))
     assert rep.success and rep.recovered == msg
     G = pk.G_pub @ rep.F
-    plan = make_plan(rep.F, G, prepare(Code(G), pk.params.t))
+    C, readout = code_and_transform(G)
+    plan = make_plan(rep.F, G, prepare(C, pk.params.t), readout)
     for _ in range(4):
         msg = [ctx.random(rng) for _ in range(k)]
         assert plan.decrypt(encrypt(pk, msg, rng)) == msg

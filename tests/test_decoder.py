@@ -4,7 +4,15 @@ import pytest
 
 from rankcrypt import linalg as la
 from rankcrypt.attack import attack_extension, attack_overbeck, stabilizer
-from rankcrypt.codes import Code, gabidulin, prw_parameters, qsum, random_code, twisted_gabidulin
+from rankcrypt.codes import (
+    Code,
+    code_and_transform,
+    gabidulin,
+    prw_parameters,
+    qsum,
+    random_code,
+    twisted_gabidulin,
+)
 from rankcrypt.decoder import (
     _error_over_support,
     _subspace_bases,
@@ -262,7 +270,7 @@ def _check_no_field_arithmetic(params, key_seed, i_overbeck, rng, monkeypatch, w
     # a Gabidulin code to decode and decrypt through, and what to expect
     gab = gabidulin(ctx, la.random_independent_vec(ctx, n, rng), k)
     t = max_radius(gab)
-    S = la.random_invertible_matfqm(ctx, k, rng)
+    S = la._resample(lambda: MatFqm.random(ctx, k, k, rng), lambda M: la.rank(M) == k)
     cw, _, y = _planted(ctx, gab, t, rng)
     want_decode = prepare(gab, t).decode(y)
     M = MatFqm.random(ctx, 4, 7, rng)
@@ -289,7 +297,8 @@ def _check_no_field_arithmetic(params, key_seed, i_overbeck, rng, monkeypatch, w
     assert max_radius(gab) == t
     prepared = prepare(gab, t)
     assert prepared.decode(y) == want_decode and want_decode.codeword == cw
-    plan = make_plan(la.MatFq.identity(q, n), S @ gab.gen, prepared)
+    _, readout = code_and_transform(S @ gab.gen)
+    plan = make_plan(la.MatFq.identity(q, n), S @ gab.gen, prepared, readout)
     msg = plan.decrypt(y)
     assert la.vec_mat(ctx, msg, S @ gab.gen) == cw
     A, B = MatFqm.random(ctx, 4, 6, rng), MatFqm.random(ctx, 6, 3, rng)

@@ -10,6 +10,7 @@ from rankcrypt import serialize as ser
 from rankcrypt.codes import Code, moore_matrix, qsum
 from rankcrypt.decoder import prepare
 from rankcrypt.fields import field
+from rankcrypt.attack import attack_extension
 from rankcrypt.gpt import DecryptError, GptParams, decrypt, encrypt, keygen
 from rankcrypt.linalg import MatFqm
 from rankcrypt.rng import derive_rng, make_rng
@@ -236,3 +237,79 @@ def test_decrypt_refuses_codeword_outside_secret_code():
     with pytest.raises(DecryptError) as ex:
         decrypt(sk, c)
     assert ex.value.status == "codeword_outside_secret_code"
+
+
+def test_keygen_draws_the_same_s_as_the_rank_rule():
+    # keygen accepts S when [S G_sec | I_k] has rank k; since G_sec has
+    # rank k that is rank(S) = k, so it draws exactly the S of the rank rule
+    # (random_independent_vec, then S resampled until rank(S) = k).
+    # Over F_16, 2 x 2 draws are singular often enough to exercise it.
+    ctx = field(2, 4)
+    params = GptParams(ctx, n=4, k=2, lam=1, s=1)
+    singular_first = 0
+    for seed in range(50):
+        rng = make_rng(seed)
+        la.random_independent_vec(ctx, 4, rng)
+        draws = [MatFqm.random(ctx, 2, 2, rng)]
+        while la.rank(draws[-1]) < 2:
+            draws.append(MatFqm.random(ctx, 2, 2, rng))
+        singular_first += len(draws) > 1
+        sk, _ = keygen(params, make_rng(seed))
+        assert sk.S == draws[-1]
+    assert singular_first >= 1
+
+
+@pytest.mark.parametrize(
+    "q, m, n, k, lam, s, inst, ell, t",
+    [
+        (2, 24, 20, 8, 4, 2, "gabidulin", 0, None),
+        (2, 24, 20, 8, 4, 2, "gabidulin", 0, 3),  # below the radius 6
+        (2, 32, 26, 18, 3, 1, "twisted", 2, None),
+        (3, 12, 10, 4, 2, 1, "gabidulin", 0, None),
+    ],
+    ids=["q2", "q2-t-below-radius", "q2-twisted", "q3"],
+)
+def test_keygen_handover_matches_a_reloaded_key(q, m, n, k, lam, s, inst, ell, t):
+    # keygen hands S G_sec, its code, the readout and Lambda_t to the key;
+    # a key read back from JSON builds them itself, to the same plan
+    ctx = field(q, m)
+    params = GptParams(ctx, n=n, k=k, lam=lam, s=s, instantiation=inst, ell=ell, t=t)
+    sk, _ = keygen(params, make_rng(416))
+    assert sk.handover is not None
+    fresh = ser.secret_key_from_json(ser.secret_key_to_json(sk))
+    assert fresh.handover is None
+    assert dataclasses.replace(sk, handover=None) == sk  # not compared
+    a, b = sk.plan, fresh.plan
+    assert (a.A, a.G, a.cols, a.readout) == (b.A, b.G, b.cols, b.readout)
+    assert (a.code.H, a.code.Ht, a.code.t) == (b.code.H, b.code.Ht, b.code.t)
+    assert a.code.t == (t or sk.params.t)
+    block = MatFqm(ctx, [[row[j] for j in a.cols] for row in a.G.data], k)
+    assert a.readout == la.solve_left(block, MatFqm.identity(ctx, k))
+
+
+def test_elimination_counts(monkeypatch):
+    # keygen's elimination of [S G_sec | I_k] gives the secret code and the
+    # readout, and its radius walk Lambda_t, so the first decrypt rebuilds
+    # none of them; each attack plan takes its code and readout from one
+    # elimination.  Counted, not timed: F_{q^m} eliminations (_fqm_rref).
+    # Rebuilding Code(G_sec) and Lambda_t in the first decrypt, a separate
+    # rank(S) and a solve_left for each readout would raise them to 23 and 16.
+    ctx = field(2, 28)
+    params = GptParams(ctx, n=24, k=12, lam=6, s=1)
+    calls = []
+    fqm_rref = la._fqm_rref
+
+    def counting(*args):
+        calls.append(1)
+        return fqm_rref(*args)
+
+    monkeypatch.setattr(la, "_fqm_rref", counting)
+    rng = derive_rng(500, 1)
+    sk, pk = keygen(params, rng)
+    msg = [ctx.random(rng) for _ in range(12)]
+    c = encrypt(pk, msg, rng)
+    assert decrypt(sk, c) == msg
+    key_calls, calls[:] = len(calls), []
+    rep = attack_extension(pk, c, i_max=1)
+    assert rep.success and rep.recovered == msg
+    assert (key_calls, len(calls)) == (13, 13)

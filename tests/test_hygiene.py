@@ -64,6 +64,8 @@ _PUBLIC_API = {
     "LinPoly.monomial": "README, Public API (the LinPoly ring)",
     "FieldCtx.power": "README, Public API",
     "Code.contains": "README, Public API (codeword membership)",
+    "solve_left": "perfbench/spans.py wraps it for --trace 1; "
+    "test_plan_readout_matches_solve_left checks plans against it",
 }
 
 
