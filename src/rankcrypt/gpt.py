@@ -22,12 +22,12 @@ elimination of [G | I_k] (codes.code_and_transform).
 The secret key's plan (GptSecretKey.plan) takes for A the last n columns
 of P^-1 and for G S G_sec.  keygen already eliminates [S G_sec | I_k] (it
 accepts S when that has rank k) and walks the q-sums to Lambda_t for the
-radius (decoder.max_radius), so it hands G, its code, the readout and
-Lambda_t to the key (GptSecretKey.handover).  The first decrypt then only
-adds P^-1 and the parity checks H and H_t, and every later one reuses the
-plan.  Neither the hand-over nor the plan is compared or serialized: a key
-read back from JSON builds the same from one elimination and
-decoder.prepare on first use.  The key reader checks t with the prepared
+radius (decoder.max_radius), so it fills in G, its code, the readout and
+Lambda_t as the key's cached GptSecretKey._secret.  The first decrypt then
+only adds P^-1 and the parity checks H and H_t, and every later one reuses
+the plan.  Cached values are not fields, so they are never compared or
+serialized: a key read back from JSON builds the same from one
+elimination and decoder.prepare on first use.  The key reader checks t with the prepared
 code (GptSecretKey.code), which the plan then reuses.  At q=2 the matrix
 and vector products of keygen, encrypt and decrypt (S X, S G_sec,
 (S X | S G_sec) P, m G_pub, c A, the readout) and the decoder's systems
@@ -42,7 +42,7 @@ condition yields for twisted codes.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from . import linalg as la
 from .codes import (
@@ -154,9 +154,6 @@ class GptSecretKey:
     S: MatFqm
     X: MatFqm
     P: MatFq
-    # keygen hands over what it computed on the way; a key read back from
-    # JSON has None here and builds the same on first use
-    handover: _SecretCode | None = field(default=None, compare=False, repr=False)
 
     @functools.cached_property
     def G_sec(self) -> MatFqm:
@@ -164,10 +161,10 @@ class GptSecretKey:
 
     @functools.cached_property
     def _secret(self) -> _SecretCode:
-        """keygen's hand-over, or for a key read back from JSON the same
-        from one elimination of [S G_sec | I_k]."""
-        if self.handover is not None:
-            return self.handover
+        """S G_sec, its code and readout from one elimination of
+        [S G_sec | I_k], built on first use; keygen fills it in on the key
+        it makes (with Lambda_t), so only a key read back from JSON or made
+        by dataclasses.replace builds it."""
         G = self.S @ self.G_sec
         C, T = code_and_transform(G)
         if C.k != self.params.k:
@@ -244,7 +241,8 @@ def keygen(
         raise ValueError(f"requested t={params.t} exceeds decoding radius {radius}")
 
     G_pub = (S @ X).hstack(SG) @ P
-    sk = GptSecretKey(params, g, tw, S, X, P, _SecretCode(SG, C, T, Lt))
+    sk = GptSecretKey(params, g, tw, S, X, P)
+    vars(sk)["_secret"] = _SecretCode(SG, C, T, Lt)  # the cached property's value
     return sk, GptPublicKey(params, G_pub)
 
 
