@@ -132,6 +132,14 @@ class TwistParams:
         if any(e == 0 for e in self.eta):
             raise ValueError("twist coefficient zero")
 
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, TwistParams):
+            return NotImplemented
+        return (self.h, self.t, self.eta) == (other.h, other.t, other.eta)
+
+    def __hash__(self) -> int:
+        return hash((self.h, self.t, self.eta))
+
     def __repr__(self) -> str:
         return f"TwistParams(h={list(self.h)}, t={list(self.t)}, eta={list(self.eta)})"
 

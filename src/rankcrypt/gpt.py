@@ -164,11 +164,13 @@ class GptSecretKey:
         """S G_sec, its code and readout from one elimination of
         [S G_sec | I_k], built on first use; keygen fills it in on the key
         it makes (with Lambda_t), so only a key read back from JSON or made
-        by dataclasses.replace builds it."""
+        by dataclasses.replace builds it.  G_sec has rank k (the Moore
+        matrix refuses dependent g, and each twist adds a monomial of its
+        own), so S G_sec has rank k exactly when S is invertible."""
         G = self.S @ self.G_sec
         C, T = code_and_transform(G)
         if C.k != self.params.k:
-            raise ValueError(f"S G_sec has rank {C.k}, expected {self.params.k}")
+            raise ValueError("S is singular")
         return _SecretCode(G, C, T)
 
     @functools.cached_property

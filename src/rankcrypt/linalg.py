@@ -22,15 +22,21 @@ Three tools carry the work for every prime q, with no F_{q^m} arithmetic
   * F_{q^m} matrices multiply as coefficient digit planes (_clmul_planes,
     or _fq_matmul for a right factor over F_q): exact float32 BLAS
     products whose sums are reduced mod q before they can pass 2^24, read
-    mod q (& 1 at q=2).  vec_mat and mat_vec are one-row and one-column
-    MatFqm products, so every MatFqm product runs this way, and so does
-    the Frobenius, an F_q-linear map with one cached matrix per power
-    (_frob_matrix, _frob_digits).
+    mod q (& 1 at q=2).  _clmul_planes is two steps: the unreduced sums of
+    the polynomial products (_clmul_sums, against a Toeplitz layout) and
+    their reduction mod f (_reduce_sums, against the table of x^s mod f).
+    Blocks are bounded by _block_bytes(m), a few entries at every m.
+    vec_mat and mat_vec are one-row and one-column MatFqm products, so
+    every MatFqm product runs this way, and so does the Frobenius, an
+    F_q-linear map with one cached matrix per power (_frob_matrix,
+    _frob_digits).
   * F_{q^m} matrices go through one echelon on the same digits
-    (_fqm_rref): per pivot, the pivot row is scaled by one product and the
-    column is cleared by one outer product.  rref, rank, right_kernel,
-    solve_left, canonical forms and codes.Code use it, and the q-sums of
-    codes._qsum_echelon grow on it.
+    (_fqm_rref), with delayed reduction: the columns still to be cleared
+    are held as unreduced sums, so a pivot reduces only its column and its
+    row, adds one unreduced outer product (_clmul_sums) and pays no
+    reduction product; the whole matrix is reduced once at the end.  rref,
+    rank, right_kernel, solve_left, canonical forms and codes.Code use it,
+    and the q-sums of codes._qsum_echelon grow on it.
   * F_q matrices go through one numpy echelon (_fq_rref): a rank-one update
     of int16 rows per pivot, reduced mod q only when the next update could
     overflow.  rref, rank, right_kernel, MatFq.inverse, solve_fq, rank_fq
@@ -355,36 +361,85 @@ def _fqm_rref(ctx: FieldCtx, D: np.ndarray) -> list[int]:
     Column by column, from column j on (the pivot row is zero before j): a
     row at or below the rank r that is nonzero at j (the RREF does not
     depend on which) moves to row r and, unless its leading entry is 1, is
-    scaled by the inverse of that entry (ctx.inv, then one _clmul_planes
-    product).  One _clmul_planes outer product of the other nonzero entries
-    of column j by the pivot row, subtracted mod q (XOR at q=2), then
-    clears the column; a column that is already a unit vector costs no
-    product.
+    scaled by the inverse of that entry (ctx.inv, then one product against
+    the Toeplitz layout of the inverse).  The other nonzero entries c_i of
+    column j are cleared by one outer product of -c_i by the pivot row,
+    added to the columns after j; the Toeplitz layout goes on the operand
+    with fewer entries, as in _clmul_planes.
+
+    The reduction is delayed (Dumas, Giorgi and Pernet, FFLAS-FFPACK): from
+    the first pivot that clears a column, columns j on are held as W, the
+    unreduced float32 sums over the 2m-1 coefficients of polynomial products
+    (_clmul_sums), and each outer product is added to W with no reduction
+    product.  A pivot reduces only column j and its own row
+    (_reduce_sums); W is read mod q only before an update could take a sum
+    past _CLMUL_EXACT, and the whole of it goes through one reduction
+    product at the end.  Every value is the same field element as without
+    the delay, so the result is the unique RREF, as before; a matrix
+    already in RREF, or one whose columns never need clearing, builds no W.
     """
+    q, m = ctx.q, ctx.m
     rows, cols, _ = D.shape
+    step = m * (q - 1) ** 2  # the most one outer product adds to a sum
+    red = _reduction_table(ctx, _sums_dtype(q, m))
+    W = None  # the sums of columns j0 on, column by column: (cols - j0, rows, 2m - 1)
+    j0 = top = 0  # top bounds the entries of W
     pivots: list[int] = []
     for j in range(cols):
         r = len(pivots)
         if r == rows:
             break
-        nonzero = D[:, j].any(axis=1)
+        col = D[:, j] if W is None else _reduce_sums(W[j - j0], top, q, red)
+        nonzero = col.any(axis=1)
         s = r + int(nonzero[r:].argmax())
         if not nonzero[s]:
             continue
-        if s != r:
-            D[[r, s]] = D[[s, r]]
+        if s != r:  # rows r and s are zero before column j, and before j0
+            if W is None:
+                D[[r, s]] = D[[s, r]]  # col, a view of D, follows
+            else:
+                W[:, [r, s]] = W[:, [s, r]]
+                col[[r, s]] = col[[s, r]]
             nonzero[s] = nonzero[r]
-        lead = D[r, j]
+        row = D[r, j:] if W is None else _reduce_sums(W[j - j0 :, r], top, q, red)
+        lead = row[0]
         if lead[0] != 1 or lead[1:].any():
             inv = _coeff_digits(ctx, [ctx.inv(_from_digits(ctx, lead[None])[0])])
-            D[r, j:] = _clmul_planes(ctx, inv[None], D[None, r, j:])[:, 0].T
+            row = _reduce_sums(row.astype(red.dtype) @ _toeplitz(inv[None], red.dtype), step, q, red)
+            if W is None:
+                D[r, j:] = row
+            else:
+                W[j - j0 :, r] = 0
+                W[j - j0 :, r, :m] = row
         nonzero[r] = False
         others = np.flatnonzero(nonzero)
-        if others.size:
-            # planes[t, i, l]: digit t of D[others[i], j] D[r, j + l]
-            planes = _clmul_planes(ctx, D[others, j, None], D[None, r, j:])
-            D[others, j:] = _sub_digits(D[others, j:], planes.transpose(1, 2, 0), ctx.q)
         pivots.append(j)
+        if not others.size:
+            continue
+        if W is None:  # the first update: the sums start at column j
+            j0, top = j, q - 1
+            W = np.zeros((cols - j, rows, 2 * m - 1), dtype=red.dtype)
+            W[:, :, :m] = D[:, j:].transpose(1, 0, 2)
+        if top + step > _CLMUL_EXACT:
+            W[...] = _mod_q(W, q)
+            top = q - 1
+        c = j - j0 + 1  # column j itself is set at the end
+        lo, hi = others[0], others[-1] + 1  # rows between them add 0 (row r too)
+        A = (_neg_digits(col[lo:hi], q) * nonzero[lo:hi, None])[:, None]
+        B = row[None, 1:]
+        swap = B.shape[1] > A.shape[0]
+        if swap:
+            A, B = B.transpose(1, 0, 2), A.transpose(1, 0, 2)
+        for p0, p1, q0, q1, S, _ in _clmul_sums(ctx, A, B):
+            if swap:
+                W[c + p0 : c + p1, lo + q0 : lo + q1] += S
+            else:
+                W[c + q0 : c + q1, lo + p0 : lo + p1] += S.transpose(1, 0, 2)
+        top += step
+    if W is not None:
+        D[:, j0:] = _reduce_sums(W, top, q, red).transpose(1, 0, 2)
+        D[:, pivots] = 0  # the pivot columns, which the updates leave out
+        D[range(len(pivots)), pivots, 0] = 1
     return pivots
 
 
@@ -677,13 +732,31 @@ def _pack_rows(bits: np.ndarray) -> list[int]:
 
 
 # Byte bound on the Toeplitz block, and on the block of sums, of one
-# _clmul_planes step (at least one entry's m x (2m-1) block, and one row of
-# sums).  Larger blocks mean fewer BLAS calls but a higher peak RSS.
+# _clmul_sums step, raised by _block_bytes to three entries' m x (2m-1)
+# blocks for a large field.  Larger blocks mean fewer BLAS calls but a
+# higher peak RSS.
 _CLMUL_BLOCK_BYTES = 1 << 16
 
-# float32 represents every integer up to 2^24 exactly; _clmul_planes and
-# _fq_matmul keep each of their sums at or below this bound.
+# float32 represents every integer up to 2^24 exactly; _clmul_planes,
+# _fqm_rref and _fq_matmul keep each of their sums at or below this bound.
 _CLMUL_EXACT = 1 << 24
+
+
+def _block_bytes(m: int) -> int:
+    """The byte bound on the blocks of a product over F_{q^m}: the larger of
+    _CLMUL_BLOCK_BYTES and three entries' Toeplitz blocks (4 m (2m-1)
+    bytes each), so a BLAS call carries a few entries at every m (one
+    entry is 86 KB at m=104) and the blocks at m <= 40 stay as they were."""
+    return max(_CLMUL_BLOCK_BYTES, 3 * 4 * m * (2 * m - 1))
+
+
+def _sums_dtype(q: int, m: int):
+    """float32 when one entry's sums stay within _CLMUL_EXACT (the 2m-1
+    reduced sums of terms up to (q-1)^2, and one product's m such terms on
+    top of a reduced entry), else Python ints."""
+    unit = (q - 1) ** 2
+    fits = max((2 * m - 1) * unit, m * unit + q - 1) <= _CLMUL_EXACT
+    return np.float32 if fits else object
 
 
 def _clmul_planes(ctx: FieldCtx, A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -694,43 +767,53 @@ def _clmul_planes(ctx: FieldCtx, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     digits stored entry by entry, so its .transpose(1, 2, 0), the layout of
     _matrix_digits, costs no copy.
 
-    Two exact float32 BLAS products per block of columns of B: the digits
-    of A against the Toeplitz layout of B give the unreduced polynomial
-    products (coefficients 0 .. 2m-2, summed over a), and those against
-    the (2m-1) x m table of the digits of x^s mod f give the reduced ones;
-    both are read mod q (& 1 at q=2).  Every sum stays an integer of at most
-    _CLMUL_EXACT, below which float32 is exact: each a adds at most
-    m (q-1)^2 to a running sum of the first product, which is reduced mod q
-    whenever the next block of a could push it past that bound, and once
-    more before the second product if its sums (w (q-1) times the running
-    bound) could.  A field too large for even one entry's sums within the
-    bound (w (q-1)^2 > _CLMUL_EXACT) gets the same steps on Python ints.
+    The unreduced polynomial sums come from _clmul_sums, block by block,
+    and each block is reduced by _reduce_sums.  The Toeplitz layout goes on
+    the operand with fewer entries (through (A B)^T = B^T A^T when that is
+    A), so a thin product such as one row times a long row takes a few
+    large BLAS calls, not one per entry.
+    """
+    P, Q = A.shape[0], B.shape[1]
+    if Q > P:  # lay out the operand with fewer entries: (A B)^T = B^T A^T
+        At, Bt = A.transpose(1, 0, 2), B.transpose(1, 0, 2)
+        return _clmul_planes(ctx, Bt, At).transpose(0, 2, 1)
+    q, m = ctx.q, ctx.m
+    red = _reduction_table(ctx, _sums_dtype(q, m))
+    out = np.empty((P, Q, m), dtype=_digit_dtype(q))
+    for p0, p1, q0, q1, S, top in _clmul_sums(ctx, A, B):
+        out[p0:p1, q0:q1] = _reduce_sums(S, top, q, red)
+    return out.transpose(2, 0, 1)
 
-    The Toeplitz layout goes on the operand with fewer entries (through
-    (A B)^T = B^T A^T when that is A), so a thin product such as one row
-    times a long row takes a few large BLAS calls, not one per entry.  Each
-    Toeplitz block, and each block of sums, is capped at _CLMUL_BLOCK_BYTES
-    by splitting over a, the columns of B and the rows of A.
+
+def _clmul_sums(ctx: FieldCtx, A: np.ndarray, B: np.ndarray):
+    """The unreduced polynomial sums of the product A B of coefficient
+    digits A (P, K, m) and B (K, Q, m), block by block: yields (p0, p1, q0,
+    q1, S, top) where S (p1-p0, q1-q0, 2m-1), of _sums_dtype, holds
+    coefficient s of sum_a A[p, a](x) B[a, q](x), before reduction mod f,
+    up to multiples of q, and every entry of S is an integer of size at most
+    top <= _CLMUL_EXACT.
+
+    Each block is exact float32 BLAS products of the digits of A against
+    the Toeplitz layout of B (_toeplitz).  Each a adds at most m (q-1)^2 to
+    a running sum, which is reduced mod q whenever the next block of a could
+    push it past _CLMUL_EXACT.  Each Toeplitz block, and each block of sums,
+    is capped at _block_bytes(m) by splitting over a, the columns of B and
+    the rows of A; no m x m x m table is built.
     """
     q, m = ctx.q, ctx.m
     P, K, _ = A.shape
     Q = B.shape[1]
-    if Q > P:  # lay out the operand with fewer entries: (A B)^T = B^T A^T
-        At, Bt = A.transpose(1, 0, 2), B.transpose(1, 0, 2)
-        return _clmul_planes(ctx, Bt, At).transpose(0, 2, 1)
     w = 2 * m - 1
     unit = (q - 1) ** 2  # the most one product of two digits adds to a sum
-    fits = max(w * unit, m * unit + q - 1) <= _CLMUL_EXACT
-    dtype = np.float32 if fits else object
-    red = _reduction_table(ctx, dtype)
+    dtype = _sums_dtype(q, m)
     X = A.reshape(P, K * m).astype(dtype)
-    blocks = max(1, _CLMUL_BLOCK_BYTES // (4 * m * w))  # (a, q) entries per block
+    bound = _block_bytes(m)
+    blocks = max(1, bound // (4 * m * w))  # (a, q) entries per block
     qc = max(1, blocks // max(K, 1))
     # a block of a adds at most step to a sum, and a reduced sum is below q
     ka = max(1, min(K, blocks // qc, (_CLMUL_EXACT - q + 1) // (m * unit)))
     step = ka * m * unit
-    pc = max(1, _CLMUL_BLOCK_BYTES // (4 * qc * w))  # rows of X per block of sums
-    out = np.empty((P, Q, m), dtype=_digit_dtype(q))
+    pc = max(1, bound // (4 * qc * w))  # rows of X per block of sums
     for q0 in range(0, Q, qc):
         q1 = min(Q, q0 + qc)
         first = _toeplitz(B[:ka, q0:q1], dtype)
@@ -744,11 +827,21 @@ def _clmul_planes(ctx: FieldCtx, A: np.ndarray, B: np.ndarray) -> np.ndarray:
                     top = q - 1
                 S += X[p0:p1, a0 * m : (a0 + ka) * m] @ _toeplitz(B[a0 : a0 + ka, q0:q1], dtype)
                 top += step
-            if top * w * (q - 1) > _CLMUL_EXACT:
-                S = _mod_q(S, q).astype(dtype)
-            Z = _mod_q(S.reshape((p1 - p0) * (q1 - q0), w) @ red, q)
-            out[p0:p1, q0:q1] = Z.reshape(p1 - p0, q1 - q0, m)
-    return out.transpose(2, 0, 1)
+            yield p0, p1, q0, q1, S.reshape(p1 - p0, q1 - q0, w), top
+
+
+def _reduce_sums(S: np.ndarray, top, q: int, red: np.ndarray) -> np.ndarray:
+    """The coefficient digits (..., m) of the polynomials whose unreduced
+    coefficient sums are S (..., 2m-1), entries of size at most top: one
+    exact product against red, the (2m-1) x m table of x^s mod f
+    (_reduction_table), read mod q (& 1 at q=2).  S is read mod q first
+    when the product's sums, (2m-1) (q-1) top in size, could pass
+    _CLMUL_EXACT."""
+    w, m = red.shape
+    if top * w * (q - 1) > _CLMUL_EXACT:
+        S = _mod_q(S, q).astype(S.dtype)
+    Z = _mod_q(S.reshape(-1, w) @ red, q)
+    return Z.reshape(*S.shape[:-1], m)
 
 
 def _fq_matmul(A: np.ndarray, B: np.ndarray, q: int) -> np.ndarray:
@@ -827,12 +920,12 @@ def _frob_digits(ctx: FieldCtx, D: np.ndarray, powers) -> np.ndarray:
     in powers and every element a with digits D (..., m).  The Frobenius is
     F_q-linear, so this is _fq_matmul against the matrices of the powers
     (_frob_matrix) side by side, as many per product as fit in
-    _CLMUL_BLOCK_BYTES (all of them for the decoder's powers at m=40, one
-    at a time at m=104)."""
+    _block_bytes(m) (all of them for the decoder's powers at m=40, five at
+    a time at m=104)."""
     q, m = ctx.q, ctx.m
     powers = [i % m for i in powers]
     out = np.empty((*D.shape[:-1], len(powers), m), dtype=_digit_dtype(q))
-    step = max(1, _CLMUL_BLOCK_BYTES // (4 * m * m))
+    step = max(1, _block_bytes(m) // (4 * m * m))
     for i0 in range(0, len(powers), step):
         chunk = powers[i0 : i0 + step]
         F = np.hstack([_frob_matrix(ctx, i) for i in chunk])

@@ -188,16 +188,16 @@ def secret_key_from_json(obj: dict) -> GptSecretKey:
     _check_shape("P", sk.P, n + lam, n + lam)
     if sk.P.q != ctx.q:
         raise ValueError(f"P is over F_{sk.P.q}, expected F_{ctx.q}")
-    if la.rank(sk.S) != k:
-        raise ValueError("S is singular")
     if la.rank(sk.P) != n + lam:
         raise ValueError("P is singular")
     if len(sk.g) != n:
         raise ValueError(f"g has {len(sk.g)} entries, expected {n}")
     if tw is not None:
         tw.validate(n, k)
-    # t <= radius iff n - dim Lambda_t >= t, since dim Lambda_t + t rises
-    # strictly with t; the key keeps the prepared code for its plan
+    # the key's prepared code comes from its one elimination of
+    # [S G_sec | I_k], which refuses a singular S; t <= radius iff
+    # n - dim Lambda_t >= t, since dim Lambda_t + t rises strictly with t;
+    # the key keeps the prepared code for its plan
     if params.t is None or sk.code.Ht.rows < params.t:
         radius = max_radius(Code(sk.G_sec))
         raise ValueError(f"error rank t={params.t} exceeds decoding radius {radius}")

@@ -3,7 +3,14 @@
 import csv
 import json
 
+import pytest
+
+from rankcrypt import linalg as la
+from rankcrypt import serialize as ser
 from rankcrypt.cli import main
+from rankcrypt.fields import field
+from rankcrypt.gpt import GptParams, keygen
+from rankcrypt.rng import derive_rng
 
 
 def run(*argv):
@@ -243,6 +250,28 @@ def test_decrypt_rejects_singular_s(tmp_path, capsys):
         S["entries"][c : 2 * c] = S["entries"][:c]
 
     assert _decrypt_tampered(tmp_path, capsys, tamper_sk=tamper)
+
+
+def test_reading_a_secret_key_takes_four_eliminations(monkeypatch):
+    # the key's one elimination of [S G_sec | I_k] also decides whether S is
+    # singular (G_sec has rank k), so the reader runs no rank(S) of its own;
+    # the headline twisted row, where a separate rank(S) made it five
+    params = GptParams(field(2, 104), n=26, k=18, lam=6, s=1, instantiation="twisted", ell=2)
+    blob = ser.secret_key_to_json(keygen(params, derive_rng(1, 1))[0])
+    calls = []
+    fqm_rref = la._fqm_rref
+
+    def counting(ctx, D):
+        calls.append(D.shape[:2])
+        return fqm_rref(ctx, D)
+
+    monkeypatch.setattr(la, "_fqm_rref", counting)
+    ser.secret_key_from_json(blob)
+    assert len(calls) == 4 and (18, 18) not in calls
+    S = blob["secret"]["S"]  # row 1 of S becomes a copy of row 0
+    S["entries"][S["cols"] : 2 * S["cols"]] = S["entries"][: S["cols"]]
+    with pytest.raises(ValueError, match="S is singular"):
+        ser.secret_key_from_json(blob)
 
 
 def test_decrypt_rejects_radius_above_decoding_radius(tmp_path, capsys):

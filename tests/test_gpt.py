@@ -277,6 +277,7 @@ def test_keygen_handover_matches_a_reloaded_key(q, m, n, k, lam, s, inst, ell, t
     sk, _ = keygen(params, make_rng(416))
     assert "_secret" in vars(sk)
     fresh = ser.secret_key_from_json(ser.secret_key_to_json(sk))
+    assert fresh == sk  # twisted keys too: TwistParams compares (h, t, eta)
     copy = dataclasses.replace(sk)  # a new key: its own cache, built anew
     assert "_secret" not in vars(copy) and copy == sk
     a, b = sk.plan, fresh.plan

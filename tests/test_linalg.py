@@ -257,12 +257,15 @@ def _entries(ctx, rng, count):
     ]
 
 
-@pytest.mark.parametrize("block_bytes", [1, 1 << 17, 1 << 30])
-@pytest.mark.parametrize("m", [3, 28, 104])
+@pytest.mark.parametrize(
+    "block_bytes", [1, 1 << 17, la._block_bytes(104), la._block_bytes(192), 1 << 30]
+)
+@pytest.mark.parametrize("m", [3, 28, 104, 192])
 def test_clmul_planes_is_the_matrix_product(m, block_bytes, monkeypatch):
-    # sums over a (K > 1), split into one entry per block, the default
-    # blocks and a single block
-    monkeypatch.setattr(la, "_CLMUL_BLOCK_BYTES", block_bytes)
+    # sums over a (K > 1), split into one entry per block, blocks of a few
+    # entries (the bounds that _block_bytes derives at m=104 and m=192 hold
+    # three entries there) and a single block
+    monkeypatch.setattr(la, "_block_bytes", lambda m: block_bytes)
     ctx = field(2, m)
     rng = make_rng(700 + m)
     for P, K, Q in ((1, 6, 5), (4, 1, 9), (3, 7, 2), (2, 0, 3)):
@@ -297,7 +300,7 @@ def _check_sums_within_the_bound(ctx, factor, rng, monkeypatch):
     unit = (q - 1) ** 2
     exact = factor * (2 * m - 1) * unit
     monkeypatch.setattr(la, "_CLMUL_EXACT", exact)
-    monkeypatch.setattr(la, "_CLMUL_BLOCK_BYTES", 1)
+    monkeypatch.setattr(la, "_block_bytes", lambda m: 1)
     seen = []
 
     def mod_q(S, q):
@@ -319,6 +322,40 @@ def _check_sums_within_the_bound(ctx, factor, rng, monkeypatch):
         B = MatFqm(ctx, [_entries(ctx, rng, Q) for _ in range(K)], Q)
         assert (A @ B).data == _field_product(ctx, A, B), (P, K, Q)
     assert seen and max(seen) <= exact
+
+
+@pytest.mark.parametrize("factor", [1, 3])
+@pytest.mark.parametrize("q, m", [(2, 28), (3, 8), (5, 4)])
+def test_delayed_echelon_reduces_before_the_float32_bound(q, m, factor, monkeypatch):
+    # at factor 1 the bound, (2m-1) (q-1)^2, leaves room for one outer
+    # product's m (q-1)^2 on top of a reduced entry but not for two, so
+    # _fqm_rref reduces its sums mod q before every update after the first,
+    # reads column j and the pivot row mod q before their reduction product,
+    # and reduces all of them before the final product; no sum handed to
+    # _mod_q may exceed the bound, and the RREF is the reference's
+    ctx = field(q, m)
+    exact = factor * (2 * m - 1) * (q - 1) ** 2
+    monkeypatch.setattr(la, "_CLMUL_EXACT", exact)
+    seen = []
+
+    def mod_q(S, q):
+        seen.append((S.shape, float(S.max()) if S.size else 0.0))
+        return _mod_q(S, q)
+
+    _mod_q = la._mod_q
+    monkeypatch.setattr(la, "_mod_q", mod_q)
+    rng = make_rng(790 + 10 * q + m)
+    rows, cols = 7, 9
+    M = MatFqm(ctx, [_entries(ctx, rng, cols) for _ in range(rows)], cols)
+    R_ref, pivots_ref = _ref_fqm_rref(M)
+    assert len(pivots_ref) == rows  # every pivot clears a column, from column 0
+    R, rk, pivots = la.rref(M)
+    assert (R.data, pivots) == (R_ref, pivots_ref)
+    assert max(top for _, top in seen) <= exact
+    held = (cols, rows, 2 * m - 1)  # the sums of every column, from column 0
+    interim = [shape for shape, _ in seen].count(held) - 1  # less the final one
+    assert interim >= (rows - 2 if factor == 1 else 1)
+    assert seen[-1][0] == (cols * rows, m)  # the final reduction product
 
 
 def _field_product(ctx, A, B) -> list[list[int]]:
@@ -654,6 +691,14 @@ def _fqm_cases(ctx, rng):
 
     low = MatFqm(ctx, _field_product(ctx, rand(7, 2), rand(2, 6)), 6)  # rank at most 2
     reduced, _ = _ref_fqm_rref(rand(4, 9))
+    # three unit columns, then a dense block: the sums start at column 3
+    unit = [[int(i == j) for j in range(3)] for i in range(5)]
+    prefixed = [u + row for u, row in zip(unit, rand(5, 6).data)]
+    # column 1 a multiple of column 0: no pivot there, but one after it
+    dep = rand(4, 5).data
+    a = ctx.random(rng) or 1
+    for row in dep:
+        row[1] = ctx.mul(a, row[0])
     return {
         "0x4": MatFqm(ctx, [], 4),
         "3x0": MatFqm(ctx, [[], [], []], 0),
@@ -666,6 +711,8 @@ def _fqm_cases(ctx, rng):
         "zero": MatFqm.zeros(ctx, 4, 6),
         "identity": MatFqm.identity(ctx, 5),
         "in RREF": MatFqm(ctx, reduced, 9),
+        "RREF then dense": MatFqm(ctx, prefixed, 9),
+        "dependent column": MatFqm(ctx, dep, 5),
     }
 
 
